@@ -10,7 +10,6 @@ from .cluster import (
 )
 from .core import (
     BlockModelSpec,
-    IncidenceMatrix,
     InteractionHypergraph,
     MeanMatrix,
     incidence_matrix,

@@ -38,9 +38,6 @@ class Dendrogram:
     def __post_init__(self):
         self.heights.setflags(write=False)
 
-    def cut(self, k: int) -> "Partition":
-        return cut_at_k(self, k)
-
 
 @dataclass(frozen=True, eq=False)
 class Partition:

@@ -3,20 +3,22 @@
 An interaction hypergraph on nodes 1..n is a multiset of interactions, each a
 nonempty subset of the nodes. Interactions are the sampling units, so the same
 vertex set may occur more than once. Node and interaction indices are 1-based
-in the public interface; vertex lists inside :class:`IncidenceMatrix` are
-0-based for direct use as numpy indices.
+in the public interface. The incidence matrix R is a ``scipy.sparse.csc_array``
+of int64 ones, n x m, whose column p holds the 0-based row indices of the
+vertices of e_p in ascending order.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "InteractionHypergraph",
-    "IncidenceMatrix",
     "BlockModelSpec",
     "MeanMatrix",
     "incidence_matrix",
@@ -69,39 +71,6 @@ class InteractionHypergraph:
     @property
     def m(self) -> int:
         return len(self.interactions)
-
-
-@dataclass(frozen=True, eq=False)
-class IncidenceMatrix:
-    """Column-sparse binary n x m matrix; column p lists the vertices of e_p.
-
-    Stored column-major because the pipeline only ever needs products that
-    stream over columns (co-occurrence accumulation and row-space projection).
-    ``columns`` holds sorted 0-based vertex indices.
-    """
-
-    n: int
-    m: int
-    columns: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        for col in self.columns:
-            col.setflags(write=False)
-
-    def column_sizes(self) -> np.ndarray:
-        return np.array([col.size for col in self.columns])
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n, self.m))
-        for p, col in enumerate(self.columns):
-            dense[col, p] = 1.0
-        return dense
-
-    def flat_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """All nonzero positions as parallel (row, column) index arrays."""
-        rows = np.concatenate(self.columns) if self.columns else np.empty(0, dtype=int)
-        cols = np.repeat(np.arange(self.m), self.column_sizes())
-        return rows, cols
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,10 +157,13 @@ class MeanMatrix:
         self.gamma.setflags(write=False)
 
 
-def incidence_matrix(h: InteractionHypergraph) -> IncidenceMatrix:
+def incidence_matrix(h: InteractionHypergraph) -> sp.csc_array:
     """Build the sparse incidence matrix of ``h`` (entry 1 iff node in e_p)."""
-    columns = tuple(np.array(e, dtype=int) - 1 for e in h.interactions)
-    return IncidenceMatrix(n=h.n, m=h.m, columns=columns)
+    sizes = np.fromiter(map(len, h.interactions), dtype=np.int64, count=h.m)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    indices = np.fromiter(itertools.chain.from_iterable(h.interactions), dtype=np.int64) - 1
+    data = np.ones(indices.size, dtype=np.int64)
+    return sp.csc_array((data, indices, indptr), shape=(h.n, h.m))
 
 
 def node_degree(h: InteractionHypergraph, v: int) -> int:
@@ -225,12 +197,9 @@ def type_matrix(h: InteractionHypergraph, z: Sequence[int]) -> BlockModelSpec:
         raise ValueError(f"expected {h.n} labels, got shape {labels.shape}")
     if labels.min() < 1:
         raise ValueError("class labels must be >= 1")
-    d = int(labels.max())
-    tmat = np.zeros((d, h.m), dtype=int)
-    for p, e in enumerate(h.interactions):
-        for v in e:
-            tmat[labels[v - 1] - 1, p] += 1
-    return BlockModelSpec(z=labels, type_matrix=tmat)
+    indicator = np.zeros((int(labels.max()), h.n), dtype=np.int64)
+    indicator[labels - 1, np.arange(h.n)] = 1
+    return BlockModelSpec(z=labels, type_matrix=indicator @ incidence_matrix(h))
 
 
 def mean_matrix(spec: BlockModelSpec) -> MeanMatrix:

@@ -32,7 +32,6 @@ from .sampling import FIXED, GROWING, RngStream, SimulationDesign, generate_desi
 from .spectral import (
     diagnostics,
     embed_interactions,
-    hollowed_gram,
     nearest_neighbor_gaps,
     signal_gap,
     theoretical_embedding,
@@ -104,7 +103,6 @@ class ExperimentGrid:
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
     replicates: int = 10
     seed: int = 0
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.regime not in _REGIME_CODE:
@@ -123,7 +121,6 @@ class ExperimentGrid:
             n_values=tuple(n for n in self.n_values if n <= DESK_N_MAX),
             replicates=self.replicates,
             seed=self.seed,
-            out_dir=self.out_dir,
         )
 
 
@@ -171,7 +168,7 @@ def _skip_reason(regime: str, n: int, m: int) -> str | None:
         return "n not divisible by the class count 2"
     if m % 3 != 0:
         return "m not divisible by the 3 basic types"
-    k_max = n // 2 if regime == GROWING else 5
+    k_max = SimulationDesign(n=n, m=m, regime=regime).k_max
     if k_max > n // 2:
         return f"k_max={k_max} exceeds the smallest class size {n // 2}"
     return None
@@ -324,19 +321,17 @@ def embed_file(
     if mode == "oracle" and spec is None:
         raise ValueError("oracle selection needs a community file to derive the bulk values")
 
-    if log.isEnabledFor(logging.INFO):
-        eigvals = np.linalg.eigvalsh(hollowed_gram(R).matrix.astype(float))
-        gaps = nearest_neighbor_gaps(eigvals)
-        top = np.argsort(gaps)[::-1][: max(d, 4)]
-        log.info(
-            "spectrum: %d eigenvalues in [%.4g, %.4g]; widest nearest-neighbor gaps at %s",
-            eigvals.size,
-            eigvals[0],
-            eigvals[-1],
-            ", ".join(f"{eigvals[i]:.4g} (gap {gaps[i]:.4g})" for i in sorted(top)),
-        )
-
     emb = embed_interactions(R, d, mode, spec=spec, c_tilde=c_tilde)
+    eigvals = emb.spectrum
+    gaps = nearest_neighbor_gaps(eigvals)
+    top = np.argsort(gaps)[::-1][: max(d, 4)]
+    log.info(
+        "spectrum: %d eigenvalues in [%.4g, %.4g]; widest nearest-neighbor gaps at %s",
+        eigvals.size,
+        eigvals[0],
+        eigvals[-1],
+        ", ".join(f"{eigvals[i]:.4g} (gap {gaps[i]:.4g})" for i in sorted(top)),
+    )
     log.info("selected eigenvalues: %s", ", ".join(f"{v:.6g}" for v in emb.lambda_hat))
 
     types = None

@@ -1,6 +1,7 @@
 """Spectral embedding of interactions via the hollowed Gram matrix.
 
-For an incidence matrix R, the hollowed Gram matrix is RR^T with its diagonal
+For an incidence matrix R (a ``scipy.sparse.csc_array``, or a dense array such
+as the mean matrix), the hollowed Gram matrix is RR^T with its diagonal
 zeroed; its off-diagonal entries count co-memberships of node pairs. Under the
 blockmodel its expectation splits into a rank-d block carried by the class
 membership space plus, per class r, a multiple -mu_r of the centering
@@ -8,7 +9,9 @@ projector, so the spectrum consists of d signal eigenvalues together with
 bulk values -mu_r of multiplicity n_r - 1. Embedding selects the signal
 eigenpairs (U, Lambda), takes the thin SVD U^T R = X S V^T, and uses the rows
 of V S as interaction coordinates; their noiseless counterparts come from the
-thin SVD of the mean matrix.
+thin SVD of the mean matrix. The Gram matrix is built and eigendecomposed once
+per instance: :class:`EmbeddingResult` carries it together with the full
+spectrum, and :func:`diagnostics` reuses that Gram.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+import scipy.sparse as sp
 
-from .core import BlockModelSpec, IncidenceMatrix, mean_matrix
+from .core import BlockModelSpec, mean_matrix
 
 __all__ = [
     "SignalSelectionError",
@@ -121,7 +125,9 @@ class EmbeddingResult:
 
     ``u_hat`` (n x d) and ``lambda_hat`` are the selected eigenpairs of the
     hollowed Gram matrix; ``x_hat``, ``s_hat``, ``v_hat`` form the thin SVD of
-    u_hat^T R; ``embedding`` holds the rows of v_hat * s_hat.
+    u_hat^T R; ``embedding`` holds the rows of v_hat * s_hat. ``gram`` is the
+    hollowed Gram matrix the eigenpairs came from and ``spectrum`` all n of
+    its eigenvalues, ascending.
     """
 
     u_hat: np.ndarray
@@ -130,6 +136,8 @@ class EmbeddingResult:
     v_hat: np.ndarray
     x_hat: np.ndarray
     embedding: np.ndarray
+    gram: HollowedGram
+    spectrum: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,22 +218,22 @@ def nearest_neighbor_gaps(values: np.ndarray) -> np.ndarray:
     return gaps
 
 
-def hollowed_gram(R: IncidenceMatrix | np.ndarray) -> HollowedGram:
+def _as_operand(R) -> sp.sparray | np.ndarray:
+    """Sparse incidence input as it is; anything else as a float array."""
+    return R if sp.issparse(R) else np.asarray(R, dtype=float)
+
+
+def hollowed_gram(R: sp.sparray | np.ndarray) -> HollowedGram:
     """Co-membership counts: entry (i, j), i != j, counts interactions holding both.
 
-    Sparse incidence input is accumulated column by column (each column adds a
-    clique), never forming a dense product; a dense array input is hollowed
-    directly, which supports noiseless mean-matrix inputs.
+    The product R R^T is densified when R is sparse, so incidence input gives
+    exact int64 counts; a dense array (such as the mean matrix) gives floats.
     """
-    if isinstance(R, IncidenceMatrix):
-        gram = np.zeros((R.n, R.n), dtype=np.int64)
-        for col in R.columns:
-            gram[np.ix_(col, col)] += 1
-        np.fill_diagonal(gram, 0)
-        return HollowedGram(matrix=gram)
-    dense = np.asarray(R, dtype=float)
-    gram = dense @ dense.T
-    np.fill_diagonal(gram, 0.0)
+    R = _as_operand(R)
+    gram = R @ R.T
+    if sp.issparse(gram):
+        gram = gram.toarray()
+    np.fill_diagonal(gram, 0)
     return HollowedGram(matrix=gram)
 
 
@@ -336,11 +344,22 @@ def select_signal_eigenpairs(
     ties by magnitude.
     """
     matrix = g.matrix if isinstance(g, HollowedGram) else np.asarray(g)
-    n = matrix.shape[0]
+    return _choose_eigenpairs(*np.linalg.eigh(matrix.astype(float)), d, mode, mu, b)
+
+
+def _choose_eigenpairs(
+    eigvals: np.ndarray,
+    eigvecs: np.ndarray,
+    d: int,
+    mode: str,
+    mu: np.ndarray | None,
+    b: float | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The selection rule of :func:`select_signal_eigenpairs` applied to an
+    ascending eigendecomposition."""
+    n = eigvals.size
     if d < 1 or d > n:
         raise ValueError(f"d must lie in [1, {n}], got {d}")
-    eigvals, eigvecs = np.linalg.eigh(matrix.astype(float))
-
     if mode == "oracle":
         if mu is None or b is None:
             raise ValueError("oracle mode needs the bulk values mu and a radius b")
@@ -362,18 +381,8 @@ def select_signal_eigenpairs(
     return u_hat, eigvals[by_value]
 
 
-def _project_rows(u: np.ndarray, R: IncidenceMatrix | np.ndarray) -> np.ndarray:
-    """u^T R computed column-sparsely for incidence input."""
-    if isinstance(R, IncidenceMatrix):
-        rows, cols = R.flat_entries()
-        out = np.zeros((R.m, u.shape[1]))
-        np.add.at(out, cols, u[rows])
-        return out.T
-    return u.T @ np.asarray(R, dtype=float)
-
-
 def embed_interactions(
-    R: IncidenceMatrix | np.ndarray,
+    R: sp.sparray | np.ndarray,
     d: int,
     mode: Literal["oracle", "empirical"] = "empirical",
     *,
@@ -389,7 +398,8 @@ def embed_interactions(
     convention makes each right singular vector's largest-magnitude entry
     positive, so output is deterministic.
     """
-    n, m = (R.n, R.m) if isinstance(R, IncidenceMatrix) else np.asarray(R).shape
+    R = _as_operand(R)
+    n, m = R.shape
     if d > min(n, m):
         raise ValueError(f"d={d} exceeds min(n, m)={min(n, m)}")
     if mode == "oracle" and mu is None:
@@ -399,9 +409,9 @@ def embed_interactions(
         if b is None:
             b = signal_gap(spec, c_tilde).b
     gram = hollowed_gram(R)
-    u_hat, lambda_hat = select_signal_eigenpairs(gram, d, mode, mu=mu, b=b)
-    projected = _project_rows(u_hat, R)
-    x_hat, s_hat, vt = np.linalg.svd(projected, full_matrices=False)
+    spectrum, eigvecs = np.linalg.eigh(gram.matrix.astype(float))
+    u_hat, lambda_hat = _choose_eigenpairs(spectrum, eigvecs, d, mode, mu, b)
+    x_hat, s_hat, vt = np.linalg.svd(u_hat.T @ R, full_matrices=False)
     v_hat, x_hat = _fix_column_signs(vt.T, x_hat)
     return EmbeddingResult(
         u_hat=u_hat,
@@ -410,6 +420,8 @@ def embed_interactions(
         v_hat=v_hat,
         x_hat=x_hat,
         embedding=v_hat * s_hat,
+        gram=gram,
+        spectrum=spectrum,
     )
 
 
@@ -455,7 +467,7 @@ def min_type_separation(spec: BlockModelSpec) -> float:
 
 
 def diagnostics(
-    R: IncidenceMatrix | np.ndarray,
+    R: sp.sparray | np.ndarray,
     spec: BlockModelSpec,
     embedding: EmbeddingResult,
     theo: TheoreticalEmbedding,
@@ -464,10 +476,11 @@ def diagnostics(
 
     Spectral norms for the incidence and Gram deviations; Frobenius norms for
     the singular-value intertwinings; maximum row norms for the subspace and
-    embedding deviations. Alignment matrices are Procrustes minimizers (see
+    embedding deviations. The observed Gram matrix is the one ``embedding``
+    was computed from. Alignment matrices are Procrustes minimizers (see
     :class:`DiagnosticsReport`).
     """
-    dense = R.to_dense() if isinstance(R, IncidenceMatrix) else np.asarray(R, dtype=float)
+    dense = R.toarray() if sp.issparse(R) else np.asarray(R, dtype=float)
     gamma = mean_matrix(spec).gamma
     if dense.shape != gamma.shape:
         raise ValueError(f"incidence {dense.shape} does not match spec {gamma.shape}")
@@ -475,7 +488,7 @@ def diagnostics(
         raise ValueError("embedding and theoretical dimensions differ")
 
     incidence_error = float(np.linalg.norm(dense - gamma, 2))
-    observed_gram = hollowed_gram(R).matrix.astype(float)
+    observed_gram = embedding.gram.matrix.astype(float)
     expected_matrix, _ = expected_gram(spec)
     gram_error = float(np.linalg.norm(observed_gram - expected_matrix, 2))
 

@@ -293,7 +293,7 @@ def test_c10_row_space_projection_annihilates_noise():
     for _ in range(50):
         spec = random_spec(rng)
         h = sample_hyper_sbm(spec, rng)
-        dense = incidence_matrix(h).to_dense()
+        dense = incidence_matrix(h).toarray()
         gamma = mean_matrix(spec).gamma
         u = theoretical_embedding(spec).u
         ratio = np.linalg.norm(u.T @ (dense - gamma)) / np.linalg.norm(dense)

@@ -47,24 +47,30 @@ class TestInteractionHypergraph:
 class TestIncidenceMatrix:
     def test_toy_matrix(self, toy_hypergraph):
         R = incidence_matrix(toy_hypergraph)
-        assert np.array_equal(R.to_dense(), TOY_DENSE)
-        assert np.array_equal(R.to_dense()[:, 0], [1, 1, 0, 0, 0, 0])
+        assert np.array_equal(R.toarray(), TOY_DENSE)
+        assert np.array_equal(R.toarray()[:, 0], [1, 1, 0, 0, 0, 0])
 
     def test_full_interaction_is_ones_column(self):
         R = incidence_matrix(InteractionHypergraph(5, [range(1, 6)]))
-        assert np.array_equal(R.to_dense(), np.ones((5, 1)))
+        assert np.array_equal(R.toarray(), np.ones((5, 1)))
 
     def test_singletons_are_basis_vectors(self):
         h = InteractionHypergraph(4, [[2], [4], [1]])
-        dense = incidence_matrix(h).to_dense()
+        dense = incidence_matrix(h).toarray()
         expected = np.zeros((4, 3))
         expected[1, 0] = expected[3, 1] = expected[0, 2] = 1
         assert np.array_equal(dense, expected)
 
     def test_column_sums_are_sizes(self, toy_hypergraph):
         R = incidence_matrix(toy_hypergraph)
-        assert np.array_equal(R.to_dense().sum(axis=0), [2, 3, 3, 4])
-        assert np.array_equal(R.column_sizes(), [2, 3, 3, 4])
+        assert np.array_equal(R.toarray().sum(axis=0), [2, 3, 3, 4])
+        assert np.array_equal(np.diff(R.indptr), [2, 3, 3, 4])
+
+    def test_canonical_csc_of_int64_ones(self, toy_hypergraph):
+        R = incidence_matrix(toy_hypergraph)
+        assert R.format == "csc" and R.has_canonical_format
+        assert R.dtype == np.int64 and R.shape == (6, 4)
+        assert (R.data == 1).all()
 
 
 class TestDegrees:
@@ -183,7 +189,7 @@ def hypergraphs(draw):
 @given(hypergraphs(), st.randoms(use_true_random=False))
 def test_incidence_round_trip(h, pyrandom):
     R = incidence_matrix(h)
-    rebuilt = InteractionHypergraph(R.n, [list(col + 1) for col in R.columns])
+    rebuilt = InteractionHypergraph(R.shape[0], [list(col + 1) for col in np.split(R.indices, R.indptr[1:-1])])
     assert rebuilt == h
 
 

@@ -1,4 +1,6 @@
 import csv
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from hyperclust import (
     complete_linkage,
     embed_interactions,
     generate_design,
+    harness,
     incidence_matrix,
     run_grid,
+    spectral,
     type_partition,
     write_interactions,
 )
@@ -26,6 +30,7 @@ from hyperclust.harness import (
     embed_file,
     expected_distinct_types,
     read_embedding_csv,
+    run_cell,
     write_diagnostics_csv,
     write_grid_csv,
 )
@@ -115,6 +120,80 @@ class TestGrid:
         grid = ExperimentGrid(regime="fixed").desk_truncated()
         assert max(grid.m_values) == 8991
         assert max(grid.n_values) == 80
+
+
+GOLDEN_GRID = Path(__file__).parent / "data" / "golden_grid.csv"
+GOLDEN_FLOAT_COLUMNS = {
+    "ari_true_k",
+    "ari_gap_k",
+    "norm_R_Gamma",
+    "norm_hollow",
+    "norm_SW",
+    "norm_Sinv",
+    "norm_V_2inf",
+    "norm_VS_2inf",
+    "delta",
+    "b",
+}
+
+
+def test_grid_matches_golden_csv(tmp_path):
+    """Both regimes, n in {10, 20}, m = 999, 2 replicates, seed 0, against a
+    CSV written by the column-loop incidence code, so results cannot drift
+    between versions unnoticed."""
+    results = []
+    for regime in ("growing", "fixed"):
+        grid = ExperimentGrid(regime=regime, m_values=(999,), n_values=(10, 20), replicates=2, seed=0)
+        results += run_grid(grid)
+    out = tmp_path / "grid.csv"
+    write_grid_csv(results, out)
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    with GOLDEN_GRID.open() as fh:
+        golden = list(csv.DictReader(fh))
+    assert len(rows) == len(golden) == 8
+    assert list(golden[0]) == GRID_CSV_COLUMNS
+    for row, want in zip(rows, golden):
+        for column in GRID_CSV_COLUMNS:
+            if column not in GOLDEN_FLOAT_COLUMNS:
+                assert row[column] == want[column], column
+                continue
+            got, expected = float(row[column]), float(want[column])
+            assert (math.isnan(got) and math.isnan(expected)) or math.isclose(
+                got, expected, rel_tol=1e-12, abs_tol=1e-12
+            ), (column, got, expected)
+
+
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """Records every hollowed Gram build, including calls through a name
+    bound by ``from .spectral import hollowed_gram``."""
+    calls = []
+    inner = spectral.hollowed_gram
+
+    def counting(R):
+        calls.append(R)
+        return inner(R)
+
+    monkeypatch.setattr(spectral, "hollowed_gram", counting)
+    monkeypatch.setattr(harness, "hollowed_gram", counting, raising=False)
+    return calls
+
+
+class TestGramBuiltOnce:
+    def test_run_cell(self, gram_calls):
+        run_cell("fixed", 10, 99, 0, 0)
+        assert len(gram_calls) == 1
+
+    def test_embed_file_with_spectrum_log(self, tmp_path, toy_hypergraph, gram_calls, caplog):
+        path = tmp_path / "toy.txt"
+        write_interactions(toy_hypergraph, path)
+        zpath = tmp_path / "z.txt"
+        zpath.write_text("1\n1\n1\n2\n2\n2\n")
+        with caplog.at_level("INFO", logger="hyperclust.harness"):
+            embed_file(path, tmp_path / "emb.csv", d=2, communities_path=zpath)
+        assert len(gram_calls) == 1
+        assert any(m.startswith("spectrum: 6 eigenvalues") for m in caplog.messages)
 
 
 class TestHelpers:

@@ -88,7 +88,7 @@ class TestHollowedGram:
     def test_dense_path_matches_sparse(self, toy_hypergraph):
         R = incidence_matrix(toy_hypergraph)
         sparse = hollowed_gram(R).matrix
-        dense = hollowed_gram(R.to_dense()).matrix
+        dense = hollowed_gram(R.toarray()).matrix
         assert np.allclose(sparse, dense)
 
 
@@ -333,7 +333,7 @@ class TestEmbedding:
         _, spec, h = growing_cell(4)
         R = incidence_matrix(h)
         emb = embed_interactions(R, 2)
-        dense = R.to_dense()
+        dense = R.toarray()
         residual = emb.u_hat.T @ dense - emb.x_hat @ np.diag(emb.s_hat) @ emb.v_hat.T
         assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(dense)
         assert np.allclose(emb.u_hat.T @ emb.u_hat, np.eye(2), atol=1e-10)
@@ -345,7 +345,7 @@ class TestEmbedding:
         _, spec, h = growing_cell(5, n=10, m=99)
         R = incidence_matrix(h)
         a = embed_interactions(R, 2)
-        b = embed_interactions(R.to_dense(), 2)
+        b = embed_interactions(R.toarray(), 2)
         assert np.allclose(a.embedding, b.embedding, atol=1e-10)
 
     def test_oracle_mode_from_spec(self):
@@ -480,7 +480,7 @@ class TestDiagnostics:
 
     def test_spectral_norms_match_power_iteration(self):
         _, spec, h = growing_cell(8, n=40, m=999)
-        dense = incidence_matrix(h).to_dense()
+        dense = incidence_matrix(h).toarray()
         gamma = mean_matrix(spec).gamma
         direct = np.linalg.norm(dense - gamma, 2)
         iterated = power_iteration_norm(dense - gamma)
@@ -518,7 +518,7 @@ class TestIdenticalActions:
         for _ in range(5):
             spec = random_spec(rng)
             h = sample_hyper_sbm(spec, rng)
-            dense = incidence_matrix(h).to_dense()
+            dense = incidence_matrix(h).toarray()
             gamma = mean_matrix(spec).gamma
             u = theoretical_embedding(spec).u
             assert np.linalg.norm(u.T @ (dense - gamma)) <= 1e-9 * np.linalg.norm(dense)
