@@ -11,6 +11,7 @@ import argparse
 import csv
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import harness, svgplot
@@ -43,20 +44,27 @@ def _load_config(path) -> dict[str, str]:
     return values
 
 
-def _apply_config(args: argparse.Namespace, path) -> None:
-    """Config values override already-parsed flags."""
-    for key, value in _load_config(path).items():
-        if not hasattr(args, key):
+def _apply_config(args: argparse.Namespace, path, parser: argparse.ArgumentParser) -> None:
+    """Config values override already-parsed flags. Each value is converted
+    and checked like the same option on the command line."""
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in commands[args.command]._actions}
+    for key, text in _load_config(path).items():
+        option = options.get(key)
+        if option is None or not hasattr(args, key):
             raise FileFormatError(path, None, f"unknown config key {key!r}")
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, value.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int):
-            setattr(args, key, int(value))
-        elif isinstance(current, float):
-            setattr(args, key, float(value))
+        if option.nargs == 0:
+            value = text.lower() in ("1", "true", "yes", "on")
         else:
-            setattr(args, key, value)
+            try:
+                value = option.type(text) if option.type else text
+            except ValueError:
+                raise ValueError(f"config key {key!r}: invalid value {text!r}") from None
+            if option.choices is not None and value not in option.choices:
+                raise ValueError(
+                    f"config key {key!r}: invalid choice {text!r} (choose from {', '.join(option.choices)})"
+                )
+        setattr(args, key, value)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -72,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
     common.add_argument("--out", required=True, help="output path")
     common.add_argument("--config", default=None, help="key=value file overriding flags")
 
@@ -134,32 +141,14 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_grid(args) -> None:
+    grid = harness.ExperimentGrid(regime=args.regime, replicates=args.replicates, seed=args.seed)
+    if not args.full:
+        grid = grid.desk_truncated()
     if args.m_values is not None:
-        m_values = _parse_int_list(args.m_values)
-    else:
-        m_values = harness.DEFAULT_M_VALUES
-        if not args.full:
-            m_values = tuple(m for m in m_values if m <= harness.DESK_M_MAX)
+        grid = replace(grid, m_values=_parse_int_list(args.m_values))
     if args.n_values is not None:
-        n_values = _parse_int_list(args.n_values)
-    else:
-        n_values = harness.DEFAULT_N_VALUES
-        if not args.full:
-            n_values = tuple(n for n in n_values if n <= harness.DESK_N_MAX)
-    grid = harness.ExperimentGrid(
-        regime=args.regime,
-        m_values=m_values,
-        n_values=n_values,
-        replicates=args.replicates,
-        seed=args.seed,
-    )
-    results = harness.run_grid(
-        grid,
-        selection=args.selection,
-        threads=args.threads,
-        csv_path=args.out,
-        timing=args.timing,
-    )
+        grid = replace(grid, n_values=_parse_int_list(args.n_values))
+    results = harness.run_grid(grid, selection=args.selection, csv_path=args.out, timing=args.timing)
     log.info("wrote %s: %d replicate rows", args.out, len(results))
 
 
@@ -230,7 +219,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(args, args.config)
+            _apply_config(args, args.config, parser)
         _HANDLERS[args.command](args)
     except (FileFormatError, svgplot.SchemaError, FileNotFoundError) as exc:
         log.error("%s", exc)

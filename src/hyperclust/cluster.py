@@ -86,13 +86,8 @@ def complete_linkage(points) -> Dendrogram:
     np.fill_diagonal(dist, np.inf)
     active = np.ones(m, dtype=bool)
     # best partner to the right of each slot: ties take the smallest index
-    nn_idx = np.full(m, -1, dtype=int)
-    nn_dist = np.full(m, np.inf)
-    for i in range(m - 1):
-        right = dist[i, i + 1 :]
-        j = int(np.argmin(right))
-        nn_idx[i] = i + 1 + j
-        nn_dist[i] = right[j]
+    nn_idx = np.empty(m, dtype=int)
+    nn_dist = np.empty(m)
 
     def refresh(i: int) -> None:
         right = dist[i, i + 1 :]
@@ -102,6 +97,9 @@ def complete_linkage(points) -> Dendrogram:
         j = int(np.argmin(right))
         nn_idx[i] = i + 1 + j
         nn_dist[i] = right[j]
+
+    for i in range(m):
+        refresh(i)
 
     merges: list[tuple[int, int]] = []
     heights = np.empty(m - 1)

@@ -2,10 +2,9 @@
 
 ``run_grid`` sweeps (n, m) cells of the two-regime benchmark, running
 generate -> embed -> diagnostics -> cluster -> ARI per replicate. Replicates
-are dispatched to a worker pool but written in sorted (n, m, rep) order, and
+run one after another in the calling thread, in sorted (n, m, rep) order, and
 every replicate derives its random stream from the master seed and its own
-(regime, n, m, rep) key, so output bytes are independent of scheduling and
-thread count.
+(regime, n, m, rep) key, so output bytes depend only on the grid and its seed.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,26 +64,6 @@ DEFAULT_N_VALUES = tuple(10 * 2**j for j in range(6))
 DESK_M_MAX = 8991
 DESK_N_MAX = 80
 
-GRID_CSV_COLUMNS = [
-    "regime",
-    "n",
-    "m",
-    "rep",
-    "seed",
-    "ari_true_k",
-    "ari_gap_k",
-    "k_gap",
-    "norm_R_Gamma",
-    "norm_hollow",
-    "norm_SW",
-    "norm_Sinv",
-    "norm_V_2inf",
-    "norm_VS_2inf",
-    "delta",
-    "b",
-    "runtime_ms",
-]
-
 _REGIME_CODE = {GROWING: 1, FIXED: 2}
 
 
@@ -126,7 +104,8 @@ class ExperimentGrid:
 
 @dataclass(frozen=True)
 class CellResult:
-    """One replicate's scores, diagnostics, and timing."""
+    """One replicate's scores, diagnostics, and timing; the fields, in order,
+    are the grid CSV columns."""
 
     regime: str
     n: int
@@ -145,6 +124,9 @@ class CellResult:
     delta: float
     b: float
     runtime_ms: int
+
+
+GRID_CSV_COLUMNS = [f.name for f in fields(CellResult)]
 
 
 def expected_distinct_types(design: SimulationDesign) -> int:
@@ -174,6 +156,18 @@ def _skip_reason(regime: str, n: int, m: int) -> str | None:
     return None
 
 
+def _replicate_chain(regime: str, n: int, m: int, rep: int, seed: int, selection: str):
+    """Sample one replicate, embed it, and compare it with the theory:
+    (design, spec, embedding, diagnostics report, signal gap)."""
+    stream = replicate_stream(regime, n, m, rep, seed)
+    design = SimulationDesign(n=n, m=m, regime=regime, seed=seed)
+    spec, h = generate_design(design, stream)
+    R = incidence_matrix(h)
+    emb = embed_interactions(R, d=design.d, mode=selection, spec=spec)
+    report = diagnostics(R, spec, emb, theoretical_embedding(spec))
+    return design, spec, emb, report, signal_gap(spec)
+
+
 def run_cell(
     regime: str,
     n: int,
@@ -183,15 +177,8 @@ def run_cell(
     selection: str = "empirical",
 ) -> CellResult:
     """Full pipeline on one replicate of one grid cell."""
-    stream = replicate_stream(regime, n, m, rep, master_seed)
-    design = SimulationDesign(n=n, m=m, regime=regime, seed=master_seed)
     started = time.perf_counter()
-    spec, h = generate_design(design, stream)
-    R = incidence_matrix(h)
-    emb = embed_interactions(R, d=design.d, mode=selection, spec=spec)
-    theo = theoretical_embedding(spec)
-    report = diagnostics(R, spec, emb, theo)
-    gap = signal_gap(spec)
+    design, spec, emb, report, gap = _replicate_chain(regime, n, m, rep, master_seed, selection)
 
     dend = complete_linkage(emb.embedding)
     truth = type_partition(spec)
@@ -210,12 +197,7 @@ def run_cell(
         ari_true_k=float(ari_true),
         ari_gap_k=float(ari_gap),
         k_gap=int(k_gap),
-        norm_R_Gamma=report.incidence_error,
-        norm_hollow=report.gram_error,
-        norm_SW=report.singular_alignment_error,
-        norm_Sinv=report.inverse_singular_alignment_error,
-        norm_V_2inf=report.subspace_row_error,
-        norm_VS_2inf=report.embedding_row_error,
+        **dict(report.as_metric_rows()),
         delta=gap.delta,
         b=gap.b,
         runtime_ms=elapsed_ms,
@@ -230,74 +212,42 @@ def run_grid(
     csv_path=None,
     timing: bool = False,
 ) -> list[CellResult]:
-    """Run every retained (cell, replicate); cells violating the design
-    assumptions are skipped with a logged reason. A replicate that fails is
-    logged and omitted rather than aborting the sweep."""
-    cells = []
-    for n in sorted(grid.n_values):
-        for m in sorted(grid.m_values):
+    """Run every retained (cell, replicate) in the calling thread, in sorted
+    (n, m, rep) order; repeated axis values count once. Cells violating the
+    design assumptions are skipped with a logged reason. A replicate that
+    fails is logged and omitted rather than aborting the sweep.
+
+    ``threads`` is ignored: every stage holds the GIL, so a thread pool ran
+    the grid more slowly than one thread. The keyword stays only because the
+    benchmark's ``grid`` workload still passes it, and goes once it stops.
+    """
+    results = []
+    for n in sorted(set(grid.n_values)):
+        for m in sorted(set(grid.m_values)):
             reason = _skip_reason(grid.regime, n, m)
             if reason:
                 log.warning("skipping cell n=%d m=%d: %s", n, m, reason)
-            else:
-                cells.append((n, m))
-    jobs = [(n, m, rep) for (n, m) in cells for rep in range(grid.replicates)]
-
-    results: dict[tuple[int, int, int], CellResult] = {}
-
-    def work(job):
-        n, m, rep = job
-        try:
-            return job, run_cell(grid.regime, n, m, rep, grid.seed, selection)
-        except Exception:
-            log.exception("replicate n=%d m=%d rep=%d failed", *job)
-            return job, None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, jobs))
-    else:
-        outcomes = [work(job) for job in jobs]
-    for job, outcome in outcomes:
-        if outcome is not None:
-            results[job] = outcome
-
-    ordered = [results[j] for j in sorted(results)]
+                continue
+            for rep in range(grid.replicates):
+                try:
+                    results.append(run_cell(grid.regime, n, m, rep, grid.seed, selection))
+                except Exception:
+                    log.exception("replicate n=%d m=%d rep=%d failed", n, m, rep)
     if csv_path is not None:
-        write_grid_csv(ordered, csv_path, timing=timing)
-    return ordered
+        write_grid_csv(results, csv_path, timing=timing)
+    return results
 
 
 def write_grid_csv(results: list[CellResult], path, *, timing: bool = False) -> None:
-    """Write results in sorted order; omitting --timing zeroes runtime_ms so
-    reruns are byte-identical."""
+    """Write results in the given order; omitting --timing zeroes runtime_ms
+    so reruns are byte-identical."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(GRID_CSV_COLUMNS)
         for r in results:
-            writer.writerow(
-                [
-                    r.regime,
-                    r.n,
-                    r.m,
-                    r.rep,
-                    r.seed,
-                    repr(r.ari_true_k),
-                    repr(r.ari_gap_k),
-                    r.k_gap,
-                    repr(r.norm_R_Gamma),
-                    repr(r.norm_hollow),
-                    repr(r.norm_SW),
-                    repr(r.norm_Sinv),
-                    repr(r.norm_V_2inf),
-                    repr(r.norm_VS_2inf),
-                    repr(r.delta),
-                    repr(r.b),
-                    r.runtime_ms if timing else 0,
-                ]
-            )
+            writer.writerow(astuple(r if timing else replace(r, runtime_ms=0)))
 
 
 def embed_file(
@@ -428,13 +378,7 @@ def diagnose_instance(
     selection: str = "empirical",
 ) -> list[tuple[int, int, str, int, str, float]]:
     """Diagnostic norms of one generated instance as (n, m, regime, seed, metric, value) rows."""
-    stream = replicate_stream(regime, n, m, 0, seed)
-    design = SimulationDesign(n=n, m=m, regime=regime, seed=seed)
-    spec, h = generate_design(design, stream)
-    R = incidence_matrix(h)
-    emb = embed_interactions(R, d=design.d, mode=selection, spec=spec)
-    report = diagnostics(R, spec, emb, theoretical_embedding(spec))
-    gap = signal_gap(spec)
+    _, _, _, report, gap = _replicate_chain(regime, n, m, 0, seed, selection)
     metrics = report.as_metric_rows() + [("delta", gap.delta), ("b", gap.b)]
     return [(n, m, regime, seed, name, value) for name, value in metrics]
 

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from hyperclust import ExperimentGrid, harness
 from hyperclust.cli import main
 
 
@@ -65,13 +66,42 @@ class TestGridCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
 
-    def test_thread_flag_reproducible(self, tmp_path):
+    def test_rerun_reproducible_and_no_thread_flag(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["grid", "--regime", "fixed", "--m-values", "99", "--n-values", "10",
                 "--replicates", 2, "--seed", 1]
-        assert run(base + ["--threads", 1, "--out", a]) == 0
-        assert run(base + ["--threads", 4, "--out", b]) == 0
+        assert run(base + ["--out", a]) == 0
+        assert run(base + ["--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+        with pytest.raises(SystemExit) as info:
+            run(base + ["--threads", 2, "--out", b])
+        assert info.value.code == 1
+
+    @pytest.fixture
+    def grid_seen(self, monkeypatch):
+        seen = []
+
+        def capture(grid, **kwargs):
+            seen.append(grid)
+            return []
+
+        monkeypatch.setattr(harness, "run_grid", capture)
+        return seen
+
+    def test_default_axes_are_desk_truncated(self, tmp_path, grid_seen):
+        assert run(["grid", "--regime", "fixed", "--replicates", 3, "--seed", 9,
+                    "--out", tmp_path / "g.csv"]) == 0
+        assert grid_seen == [ExperimentGrid(regime="fixed", replicates=3, seed=9).desk_truncated()]
+
+    def test_full_keeps_the_published_axes(self, tmp_path, grid_seen):
+        assert run(["grid", "--full", "--out", tmp_path / "g.csv"]) == 0
+        assert grid_seen == [ExperimentGrid(regime="growing", replicates=10, seed=0)]
+
+    def test_explicit_values_are_kept_above_desk_limits(self, tmp_path, grid_seen):
+        assert run(["grid", "--m-values", "26973", "--out", tmp_path / "g.csv"]) == 0
+        (grid,) = grid_seen
+        assert grid.m_values == (26973,)
+        assert grid.n_values == (10, 20, 40, 80)
 
     def test_bad_m_values_usage_error(self, tmp_path):
         assert run(["grid", "--m-values", "abc", "--out", tmp_path / "g.csv"]) == 1
@@ -134,6 +164,29 @@ class TestEmbedAndCluster:
         with part.open() as fh:
             labels = [row["label"] for row in csv.DictReader(fh)]
         assert labels == ["1", "1", "2"]
+
+    def test_config_k_is_converted_like_the_flag(self, tmp_path):
+        emb = tmp_path / "emb.csv"
+        emb.write_text("interaction,coord_1\n1,0.0\n2,0.1\n3,5.0\n4,9.0\n")
+        cfg = tmp_path / "cluster.cfg"
+        cfg.write_text("k=3\n")
+        part = tmp_path / "part.csv"
+        assert run(["cluster", "--input", emb, "--config", cfg, "--out", part]) == 0
+        with part.open() as fh:
+            labels = [row["label"] for row in csv.DictReader(fh)]
+        assert labels == ["1", "1", "2", "3"]
+
+    def test_config_bad_k_is_one_error_line(self, tmp_path, capsys, caplog):
+        emb = tmp_path / "emb.csv"
+        emb.write_text("interaction,coord_1\n1,0.0\n2,0.1\n3,9.0\n")
+        cfg = tmp_path / "cluster.cfg"
+        cfg.write_text("k=abc\n")
+        code = run(["cluster", "--input", emb, "--config", cfg, "--out", tmp_path / "part.csv"])
+        assert code == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert "'abc'" in errors[0].getMessage()
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestPlotCommand:

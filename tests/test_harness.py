@@ -1,5 +1,6 @@
 import csv
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,34 @@ class TestGrid:
         run_grid(grid, threads=1, csv_path=a)
         run_grid(grid, threads=3, csv_path=b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_replicates_run_in_calling_thread_in_sorted_order(self, monkeypatch):
+        calls = []
+
+        def record(regime, n, m, rep, master_seed, selection):
+            calls.append((threading.get_ident(), (n, m, rep)))
+            return (n, m, rep)
+
+        monkeypatch.setattr(harness, "run_cell", record)
+        grid = tiny_grid(n_values=(20, 10), m_values=(999, 99), replicates=3)
+        results = run_grid(grid, threads=4)
+        order = [job for _, job in calls]
+        assert {ident for ident, _ in calls} == {threading.get_ident()}
+        assert order == sorted(order) and len(order) == 12
+        assert results == order
+
+    def test_repeated_axis_values_run_once(self, monkeypatch):
+        calls = []
+        inner = harness.run_cell
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(harness, "run_cell", counting)
+        results = run_grid(tiny_grid(n_values=(10, 10), m_values=(99, 99)))
+        assert [(r.n, r.m, r.rep) for r in results] == [(10, 99, 0), (10, 99, 1)]
+        assert len(calls) == 2
 
     def test_different_seed_changes_results(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
