@@ -23,6 +23,9 @@ log = logging.getLogger("hyperclust.cli")
 
 __all__ = ["main", "build_parser"]
 
+# config spellings of a store-true flag's value, compared case-insensitively
+_FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -54,7 +57,9 @@ def _apply_config(args: argparse.Namespace, path, parser: argparse.ArgumentParse
         if option is None or not hasattr(args, key):
             raise FileFormatError(path, None, f"unknown config key {key!r}")
         if option.nargs == 0:
-            value = text.lower() in ("1", "true", "yes", "on")
+            value = _FLAG_WORDS.get(text.lower())
+            if value is None:
+                raise ValueError(f"config key {key!r}: invalid value {text!r} (choose from {', '.join(_FLAG_WORDS)})")
         else:
             try:
                 value = option.type(text) if option.type else text

@@ -5,10 +5,19 @@ distance it merges the lexicographically smallest pair, ordering a cluster by
 its smallest member. Clusters are named by their smallest member, so a merge
 record (a, b) with a < b unites the clusters represented by items a and b into
 one represented by a.
+
+Exact duplicate rows are merged first, at height 0, and only the u distinct
+rows are linked, so time and memory scale with u^2 rather than m^2. This
+keeps the tie rule: duplicates are at distance 0 from each other and at the
+same distances from everything else, and naming each distinct row by its
+first occurrence keeps the index order. When two distinct rows are at
+distance 0 (by underflow), duplicates no longer merge strictly first, and all
+m rows are linked instead.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +34,12 @@ __all__ = [
 ]
 
 _ZERO_HEIGHT = 1e-12
+# Smallest distance buffer handed to the allocator, in float64 entries
+# (32 MiB). glibc serves smaller blocks from its heap, where the changing
+# sizes of a grid's cells would stay resident after they are freed.
+_MIN_DIST_ENTRIES = 2**22
+
+log = logging.getLogger("hyperclust.cluster")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +81,22 @@ class Partition:
 def complete_linkage(points) -> Dendrogram:
     """Agglomerate by smallest maximum pairwise distance.
 
-    Maintains the full distance matrix with max-updates after each merge and a
-    cached best partner per cluster; since complete-linkage distances only
-    grow under merges, a cached partner goes stale only when it was one of the
-    merged clusters, giving O(m^2) expected work.
+    Exact duplicate rows are collapsed first. Their distance is 0 and their
+    distances to every other row are the same floats, so under the tie rule
+    they merge before anything else: group by group in order of the group's
+    first row, each later member merging into that first row in ascending
+    order, at height 0. The u distinct rows, each named by its first
+    occurrence, are then linked on their own; since that naming keeps the
+    index order, the lexicographic tie rule picks the same pairs and the
+    heights are the same floats. Collapsing is exact only if no two distinct
+    rows are at distance 0 (as underflow can make them); when the distinct
+    rows' first merge height is 0, all m rows are linked instead.
+
+    The linkage keeps the square distance matrix of the live clusters with
+    max-updates after each merge and a cached best partner per cluster; since
+    complete-linkage distances only grow under merges, a cached partner goes
+    stale only when it was one of the merged clusters. Memory and expected
+    work are O(u^2) in the number u of distinct rows.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim == 1:
@@ -82,15 +109,52 @@ def complete_linkage(points) -> Dendrogram:
     if m == 1:
         return Dendrogram(leaves=1, merges=(), heights=np.empty(0))
 
-    dist = cdist(x, x)
-    np.fill_diagonal(dist, np.inf)
-    active = np.ones(m, dtype=bool)
-    # best partner to the right of each slot: ties take the smallest index
-    nn_idx = np.empty(m, dtype=int)
-    nn_dist = np.empty(m)
+    _, first, inverse = np.unique(x, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    firsts = first[order]  # distinct rows by first occurrence
+    u = firsts.size
+    rank = np.empty(u, dtype=np.intp)
+    rank[order] = np.arange(u)
+    group = rank[inverse.reshape(-1)]
+    dups = np.flatnonzero(firsts[group] != np.arange(m))
+    dups = dups[np.argsort(group[dups], kind="stable")]
+    zero_merges = np.column_stack([firsts[group[dups]], dups])
+
+    floor = min(m * m, _MIN_DIST_ENTRIES)
+    linked, heights, compactions = _link(x[firsts], floor)
+    if 1 < u < m and heights[0] == 0.0:
+        merges, heights, compactions = _link(x, floor)
+        log.debug("complete_linkage: m=%d u=%d compactions=%d, linked all rows", m, u, compactions)
+    else:
+        merges = np.concatenate([zero_merges, firsts[linked]])
+        heights = np.concatenate([np.zeros(m - u), heights])
+        log.debug("complete_linkage: m=%d u=%d compactions=%d", m, u, compactions)
+    return Dendrogram(leaves=m, merges=tuple(map(tuple, merges.tolist())), heights=heights)
+
+
+def _link(x: np.ndarray, floor: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Complete linkage of the rows of x under the tie rule.
+
+    Returns the (u - 1) x 2 merge array, the heights and the number of
+    compactions. A merged-away cluster is retired by an inf entry in
+    ``penalty``, which every partner scan adds to its row; once the live
+    clusters are at most half the matrix, their rows and columns move to the
+    front of the same buffer and the partner cache is rebuilt.
+    """
+    u = x.shape[0]
+    # at least `floor` entries, of which only the first u^2 are touched
+    buf = np.empty(max(u * u, floor))
+    size = u
+    dist = buf[: u * u].reshape(u, u)
+    cdist(x, x, out=dist)
+    names = np.arange(u)
+    penalty = np.zeros(u)
+    # best live partner to the right of each slot: ties take the smallest index
+    nn_idx = np.empty(u, dtype=np.intp)
+    nn_dist = np.empty(u)
 
     def refresh(i: int) -> None:
-        right = dist[i, i + 1 :]
+        right = dist[i, i + 1 :] + penalty[i + 1 :]
         if right.size == 0:
             nn_idx[i], nn_dist[i] = -1, np.inf
             return
@@ -98,46 +162,71 @@ def complete_linkage(points) -> Dendrogram:
         nn_idx[i] = i + 1 + j
         nn_dist[i] = right[j]
 
-    for i in range(m):
+    for i in range(u):
         refresh(i)
 
-    merges: list[tuple[int, int]] = []
-    heights = np.empty(m - 1)
-    for step in range(m - 1):
+    merges = np.empty((u - 1, 2), dtype=np.intp)
+    heights = np.empty(u - 1)
+    compactions = 0
+    live = u
+    for step in range(u - 1):
         i = int(np.argmin(nn_dist))
         j = int(nn_idx[i])
         heights[step] = nn_dist[i]
-        merges.append((i, j))
+        merges[step] = names[i], names[j]
 
         merged = np.maximum(dist[i], dist[j])
-        merged[i] = np.inf
-        merged[j] = np.inf
-        dist[i, :] = merged
+        dist[i] = merged
         dist[:, i] = merged
-        dist[j, :] = np.inf
-        dist[:, j] = np.inf
-        active[j] = False
+        penalty[j] = np.inf
         nn_dist[j] = np.inf
         nn_idx[j] = -1
+        live -= 1
 
-        stale = np.flatnonzero(active & ((nn_idx == i) | (nn_idx == j)))
+        if 2 * live <= size and live > 1:
+            # live slots keep their order, so the tie rule is unchanged; new
+            # row r never overwrites an unread source row, since keep[r] >= r
+            keep = np.flatnonzero(penalty == 0)
+            for r, k in enumerate(keep):
+                buf[r * live : (r + 1) * live] = buf[k * size + keep]
+            size = live
+            dist = buf[: live * live].reshape(live, live)
+            names = names[keep]
+            penalty = np.zeros(live)
+            nn_idx = np.empty(live, dtype=np.intp)
+            nn_dist = np.empty(live)
+            for r in range(live):
+                refresh(r)
+            compactions += 1
+            continue
+
+        stale = np.flatnonzero((nn_idx == i) | (nn_idx == j))
         refresh(i)
         for k in stale:
             if k != i:
                 refresh(int(k))
 
-    return Dendrogram(leaves=m, merges=tuple(merges), heights=heights)
+    return merges, heights, compactions
 
 
 def cut_at_k(dend: Dendrogram, k: int) -> Partition:
-    """Partition after exactly m - k merges, labels canonicalized to 1..k."""
+    """Partition after exactly m - k merges, labels canonicalized to 1..k.
+
+    Each of the first m - k merges points b at a; pointer jumping then sends
+    every item to the representative of its cluster.
+    """
     m = dend.leaves
     if not 1 <= k <= m:
         raise ValueError(f"k must lie in [1, {m}], got {k}")
-    labels = np.arange(m)
-    for a, b in dend.merges[: m - k]:
-        labels[labels == b] = a
-    _, inverse = np.unique(labels, return_inverse=True)
+    parent = np.arange(m)
+    pairs = np.array(dend.merges[: m - k], dtype=np.intp).reshape(-1, 2)
+    parent[pairs[:, 1]] = pairs[:, 0]
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            break
+        parent = grand
+    _, inverse = np.unique(parent, return_inverse=True)
     return Partition(labels=inverse + 1, k=k)
 
 

@@ -103,6 +103,38 @@ class TestGridCommand:
         assert grid.m_values == (26973,)
         assert grid.n_values == (10, 20, 40, 80)
 
+    @pytest.fixture
+    def timing_seen(self, monkeypatch):
+        seen = []
+
+        def capture(grid, **kwargs):
+            seen.append(kwargs["timing"])
+            return []
+
+        monkeypatch.setattr(harness, "run_grid", capture)
+        return seen
+
+    @pytest.mark.parametrize(
+        "word, expected",
+        [("1", True), ("TRUE", True), ("yes", True), ("On", True),
+         ("0", False), ("false", False), ("No", False), ("OFF", False)],
+    )
+    def test_config_flag_words(self, tmp_path, timing_seen, word, expected):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"timing={word}\n")
+        assert run(["grid", "--config", cfg, "--out", tmp_path / "g.csv"]) == 0
+        assert timing_seen == [expected]
+
+    def test_config_misspelled_flag_is_one_error_line(self, tmp_path, timing_seen, capsys, caplog):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("timing=ture\n")
+        assert run(["grid", "--config", cfg, "--out", tmp_path / "g.csv"]) == 1
+        assert timing_seen == []
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert "'timing'" in errors[0].getMessage() and "'ture'" in errors[0].getMessage()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_bad_m_values_usage_error(self, tmp_path):
         assert run(["grid", "--m-values", "abc", "--out", tmp_path / "g.csv"]) == 1
 

@@ -1,10 +1,13 @@
 import itertools
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from hyperclust import (
     Partition,
@@ -42,6 +45,59 @@ def naive_complete_linkage(points):
         clusters[a] = clusters[a] + clusters[b]
         del clusters[b]
     return merges, heights
+
+
+def reference_complete_linkage(points):
+    """The square-matrix engine without duplicate collapsing: max-updates of
+    full rows and columns, retired clusters set to inf, and a cached best
+    partner to the right of each slot (ties take the smallest index)."""
+    x = np.asarray(points, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    m = x.shape[0]
+    dist = cdist(x, x)
+    np.fill_diagonal(dist, np.inf)
+    active = np.ones(m, dtype=bool)
+    nn_idx = np.empty(m, dtype=int)
+    nn_dist = np.empty(m)
+
+    def refresh(i):
+        right = dist[i, i + 1 :]
+        if right.size == 0:
+            nn_idx[i], nn_dist[i] = -1, np.inf
+            return
+        j = int(np.argmin(right))
+        nn_idx[i] = i + 1 + j
+        nn_dist[i] = right[j]
+
+    for i in range(m):
+        refresh(i)
+    merges, heights = [], np.empty(m - 1)
+    for step in range(m - 1):
+        i = int(np.argmin(nn_dist))
+        j = int(nn_idx[i])
+        heights[step] = nn_dist[i]
+        merges.append((i, j))
+        merged = np.maximum(dist[i], dist[j])
+        merged[i] = merged[j] = np.inf
+        dist[i, :] = dist[:, i] = merged
+        dist[j, :] = dist[:, j] = np.inf
+        active[j] = False
+        nn_dist[j], nn_idx[j] = np.inf, -1
+        stale = np.flatnonzero(active & ((nn_idx == i) | (nn_idx == j)))
+        refresh(i)
+        for k in stale:
+            if k != i:
+                refresh(int(k))
+    return merges, heights
+
+
+def relabel_cut(dend, k):
+    """Cut by relabelling b's cluster as a for each of the first m - k merges."""
+    labels = np.arange(dend.leaves)
+    for a, b in dend.merges[: dend.leaves - k]:
+        labels[labels == b] = a
+    return Partition.from_labels(labels).labels
 
 
 def direct_ari(labels_a, labels_b):
@@ -128,6 +184,52 @@ class TestCompleteLinkage:
             members[a] = members[a] + members[b]
             del members[b]
 
+    def test_matches_reference_engine_on_ties_and_duplicates(self):
+        rng = np.random.default_rng(40)
+        for trial in range(12):
+            m = int(rng.integers(150, 401))
+            d = int(rng.integers(1, 4))
+            if trial % 2 == 0:
+                # integer grid: many exactly tied distances and duplicates
+                pts = rng.integers(0, 6, size=(m, d)).astype(float)
+            else:
+                pts = rng.normal(size=(m, d))
+                dup = rng.permutation(m)[: m // 3]
+                pts[dup] = pts[rng.integers(0, m, size=dup.size)]
+            dend = complete_linkage(pts)
+            merges, heights = reference_complete_linkage(pts)
+            assert list(dend.merges) == merges, f"trial {trial}"
+            assert np.array_equal(dend.heights, heights), f"trial {trial}"
+
+    def test_distinct_rows_at_distance_zero_match_naive_oracle(self):
+        # 1e-170 - 0 squares to 0 by underflow, so two distinct rows are at
+        # distance 0 and must interleave with the exact duplicates
+        pts = np.array([[0.0], [1e-170], [0.0], [5.0]])
+        dend = complete_linkage(pts)
+        merges, heights = naive_complete_linkage(pts)
+        assert list(dend.merges) == merges == [(0, 1), (0, 2), (0, 3)]
+        assert np.array_equal(dend.heights, heights)
+
+    def test_debug_line_reports_sizes_and_compactions(self, caplog):
+        pts = np.repeat(np.arange(50.0), 2)[:, None] ** 1.5
+        with caplog.at_level(logging.DEBUG, logger="hyperclust.cluster"):
+            complete_linkage(pts)
+        (record,) = caplog.records
+        assert record.getMessage().startswith("complete_linkage: m=100 u=50 compactions=")
+        assert int(record.getMessage().split("compactions=")[1]) > 0
+
+    def test_peak_memory_scales_with_distinct_rows(self):
+        rng = np.random.default_rng(41)
+        values = rng.normal(size=(1000, 2))
+        pts = values[rng.permutation(np.repeat(np.arange(1000), 3))]
+        tracemalloc.start()
+        try:
+            complete_linkage(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3000 * 3000 * 8 / 2
+
 
 class TestCuts:
     def test_trivial_cuts(self):
@@ -163,6 +265,13 @@ class TestCuts:
         for k in (1, 4, 15):
             part = cut_at_k(dend, k)
             assert sorted(np.unique(part.labels)) == list(range(1, k + 1))
+
+    def test_matches_relabel_loop(self):
+        rng = np.random.default_rng(42)
+        pts = rng.integers(0, 5, size=(120, 2)).astype(float)
+        dend = complete_linkage(pts)
+        for k in (1, 2, 3, 7, 25, 60, 119, 120):
+            assert np.array_equal(cut_at_k(dend, k).labels, relabel_cut(dend, k)), k
 
 
 class TestChooseK:
