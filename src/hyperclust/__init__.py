@@ -13,10 +13,7 @@ from .core import (
     InteractionHypergraph,
     MeanMatrix,
     incidence_matrix,
-    interaction_degree,
-    interaction_size,
     mean_matrix,
-    node_degree,
     type_matrix,
 )
 from .fileio import (

@@ -2,10 +2,12 @@
 
 An interaction hypergraph on nodes 1..n is a multiset of interactions, each a
 nonempty subset of the nodes. Interactions are the sampling units, so the same
-vertex set may occur more than once. Node and interaction indices are 1-based
-in the public interface. The incidence matrix R is a ``scipy.sparse.csc_array``
-of int64 ones, n x m, whose column p holds the 0-based row indices of the
-vertices of e_p in ascending order.
+vertex set may occur more than once. A hypergraph is stored as the CSC arrays
+of its n x m incidence matrix R: ``indptr`` (m + 1 offsets) and ``indices``
+(0-based vertex ids, ascending within each interaction). ``incidence_matrix``
+wraps them in a ``scipy.sparse.csc_array`` of int64 ones. Node and interaction
+indices are 1-based in the public interface, so the ``interactions`` view
+lists sorted tuples of 1-based vertex ids.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ __all__ = [
     "BlockModelSpec",
     "MeanMatrix",
     "incidence_matrix",
-    "node_degree",
-    "interaction_degree",
-    "interaction_size",
     "type_matrix",
     "mean_matrix",
 ]
@@ -36,41 +35,86 @@ def _frozen_array(a, dtype=None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionHypergraph:
-    """A node count plus an ordered multiset of vertex subsets.
+    """A node count plus an ordered multiset of vertex subsets, as CSC arrays.
 
-    Interactions are normalized to sorted tuples of distinct 1-based vertex
-    ids, so two hypergraphs with the same interactions in the same order
-    compare equal regardless of the input vertex order.
+    ``indices[indptr[p]:indptr[p + 1]]`` holds the 0-based vertex ids of
+    interaction p + 1 in ascending order; both arrays are read-only int64. Two
+    hypergraphs with the same interactions in the same order compare equal
+    regardless of the input vertex order.
     """
 
     n: int
-    interactions: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def __init__(self, n: int, interactions: Iterable[Iterable[int]]):
+        """Build from 1-based vertex ids, one iterable per interaction."""
+        groups = list(map(tuple, interactions))
+        sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+        flat = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64, count=int(sizes.sum()))
+        self._adopt(n, np.concatenate(([0], np.cumsum(sizes))), flat - 1)
+
+    @classmethod
+    def from_arrays(cls, n: int, indptr, indices) -> "InteractionHypergraph":
+        """Build from CSC arrays holding 0-based vertex ids in any order
+        within an interaction. The arguments are copied, not kept."""
+        h = object.__new__(cls)
+        h._adopt(n, np.array(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int64))
+        return h
+
+    def _adopt(self, n, indptr: np.ndarray, indices: np.ndarray) -> None:
+        """Sort within interactions, validate, and store read-only arrays."""
         if int(n) != n or n < 1:
             raise ValueError(f"node count must be a positive integer, got {n!r}")
-        normalized = []
-        for idx, raw in enumerate(interactions):
-            verts = [int(v) for v in raw]
-            if not verts:
-                raise ValueError(f"interaction {idx + 1} is empty")
-            if len(set(verts)) != len(verts):
-                raise ValueError(f"interaction {idx + 1} repeats a vertex: {sorted(verts)}")
-            if min(verts) < 1 or max(verts) > n:
-                raise ValueError(
-                    f"interaction {idx + 1} has vertex ids outside [1, {n}]: {sorted(verts)}"
-                )
-            normalized.append(tuple(sorted(verts)))
-        if not normalized:
+        n = int(n)
+        m = indptr.size - 1
+        if m < 1:
             raise ValueError("a hypergraph needs at least one interaction")
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "interactions", tuple(normalized))
+        sizes = indptr[1:] - indptr[:-1]
+        smallest = sizes.min()
+        if indptr[0] != 0 or indptr[-1] != indices.size or smallest < 0:
+            raise ValueError("indptr must rise from 0 to the number of vertex ids")
+        # with every id in [0, n), sorting p * n + id sorts within interactions
+        # and a repeated vertex shows as two equal neighbours
+        base = np.repeat(np.arange(0, m * n, n), sizes)
+        key = base + indices
+        key.sort()
+        if smallest == 0 or indices.min() < 0 or indices.max() >= n or (key[1:] == key[:-1]).any():
+            for p, verts in enumerate(np.split(indices + 1, indptr[1:-1])):
+                verts = sorted(verts.tolist())
+                if not verts:
+                    raise ValueError(f"interaction {p + 1} is empty")
+                if len(set(verts)) != len(verts):
+                    raise ValueError(f"interaction {p + 1} repeats a vertex: {verts}")
+                if verts[0] < 1 or verts[-1] > n:
+                    raise ValueError(f"interaction {p + 1} has vertex ids outside [1, {n}]: {verts}")
+        indices = key - base
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
 
     @property
     def m(self) -> int:
-        return len(self.interactions)
+        return self.indptr.size - 1
+
+    @property
+    def interactions(self) -> tuple[tuple[int, ...], ...]:
+        """Each interaction as a sorted tuple of 1-based vertex ids."""
+        flat = (self.indices + 1).tolist()
+        return tuple(tuple(flat[a:b]) for a, b in itertools.pairwise(self.indptr.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InteractionHypergraph):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,22 +173,11 @@ class BlockModelSpec:
     def interaction_sizes(self) -> np.ndarray:
         return self.type_matrix.sum(axis=0)
 
-    def class_members(self, r: int) -> np.ndarray:
-        """1-based ids of the nodes in class r."""
-        return np.flatnonzero(self.z == r) + 1
-
     def membership_matrix(self) -> np.ndarray:
         """The n x d 0/1 matrix with one 1 per row marking the node's class."""
         out = np.zeros((self.n, self.d))
         out[np.arange(self.n), self.z - 1] = 1.0
         return out
-
-    def mean_column(self, p: int) -> np.ndarray:
-        """Column p of the mean matrix without materializing all of it."""
-        if not 1 <= p <= self.m:
-            raise IndexError(f"interaction index {p} outside [1, {self.m}]")
-        ratios = self.type_matrix[:, p - 1] / self.class_sizes
-        return ratios[self.z - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,36 +191,13 @@ class MeanMatrix:
 
 
 def incidence_matrix(h: InteractionHypergraph) -> sp.csc_array:
-    """Build the sparse incidence matrix of ``h`` (entry 1 iff node in e_p)."""
-    sizes = np.fromiter(map(len, h.interactions), dtype=np.int64, count=h.m)
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    indices = np.fromiter(itertools.chain.from_iterable(h.interactions), dtype=np.int64) - 1
-    data = np.ones(indices.size, dtype=np.int64)
-    return sp.csc_array((data, indices, indptr), shape=(h.n, h.m))
+    """The sparse incidence matrix of ``h`` (entry 1 iff node in e_p).
 
-
-def node_degree(h: InteractionHypergraph, v: int) -> int:
-    """Number of interactions that contain node ``v``."""
-    if not 1 <= v <= h.n:
-        raise IndexError(f"node id {v} outside [1, {h.n}]")
-    return sum(1 for e in h.interactions if v in e)
-
-
-def interaction_degree(h: InteractionHypergraph, p: int) -> int:
-    """Number of other interactions sharing at least one node with e_p."""
-    if not 1 <= p <= h.m:
-        raise IndexError(f"interaction index {p} outside [1, {h.m}]")
-    target = set(h.interactions[p - 1])
-    return sum(
-        1 for q, e in enumerate(h.interactions) if q != p - 1 and not target.isdisjoint(e)
-    )
-
-
-def interaction_size(h: InteractionHypergraph, p: int) -> int:
-    """Number of nodes in e_p."""
-    if not 1 <= p <= h.m:
-        raise IndexError(f"interaction index {p} outside [1, {h.m}]")
-    return len(h.interactions[p - 1])
+    The matrix is in canonical CSC form and shares the read-only index arrays
+    of ``h``; only its ``data`` array of int64 ones is new.
+    """
+    data = np.ones(h.indices.size, dtype=np.int64)
+    return sp.csc_array((data, h.indices, h.indptr), shape=(h.n, h.m))
 
 
 def type_matrix(h: InteractionHypergraph, z: Sequence[int]) -> BlockModelSpec:

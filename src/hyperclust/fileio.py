@@ -81,7 +81,7 @@ def read_interactions(path) -> InteractionHypergraph:
 def write_interactions(h: InteractionHypergraph, path) -> None:
     """Write ``h`` with an explicit ``#n=`` header, one interaction per line."""
     lines = [f"#n={h.n}"]
-    lines.extend(" ".join(str(v) for v in e) for e in h.interactions)
+    lines.extend(" ".join(map(str, e)) for e in h.interactions)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

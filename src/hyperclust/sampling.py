@@ -1,5 +1,7 @@
 """Random interaction hypergraphs: weighted draws, blockmodel draws, designs.
 
+The blockmodel sampler writes each draw straight into the CSC arrays of the
+hypergraph (see :mod:`hyperclust.core`).
 Reproducibility is built on counter-based Philox streams: a
 :class:`RngStream` is a (seed, key) pair, identical pairs yield identical
 draws, and distinct keys yield statistically independent streams. The
@@ -10,7 +12,6 @@ not depend on scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -141,18 +142,22 @@ def sample_weighted_without_replacement(weights, k: int, rng: np.random.Generato
 
 def sample_hyper_sbm(spec: BlockModelSpec, rng: np.random.Generator) -> InteractionHypergraph:
     """Sample a hypergraph: each interaction draws a uniform tau_{rp}-subset
-    of class r, independently across classes and interactions."""
-    members = [spec.class_members(r) for r in range(1, spec.d + 1)]
-    tmat = spec.type_matrix
-    interactions = []
-    for p in range(spec.m):
-        verts: list[int] = []
-        for r in range(spec.d):
-            count = int(tmat[r, p])
+    of class r, independently across classes and interactions.
+
+    Draws run in (interaction, class) order and are written straight into
+    the CSC ``indices`` slice of their interaction.
+    """
+    members = [np.flatnonzero(spec.z == r) for r in range(1, spec.d + 1)]
+    indices = np.empty(spec.type_matrix.sum(), dtype=np.int64)
+    indptr = [0]
+    for column in spec.type_matrix.T.tolist():
+        start = indptr[-1]
+        for r, count in enumerate(column):
             if count:
-                verts.extend(rng.choice(members[r], size=count, replace=False))
-        interactions.append(verts)
-    return InteractionHypergraph(n=spec.n, interactions=interactions)
+                indices[start : start + count] = rng.choice(members[r], size=count, replace=False)
+                start += count
+        indptr.append(start)
+    return InteractionHypergraph.from_arrays(spec.n, indptr, indices)
 
 
 def sample_sizes(law: SizeLaw, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -160,27 +165,17 @@ def sample_sizes(law: SizeLaw, m: int, rng: np.random.Generator) -> np.ndarray:
     return law.k_min + rng.binomial(law.k_max - law.k_min, law.alpha, size=m)
 
 
-def _binomial_split(k: int, rng: np.random.Generator) -> int:
-    """Class-1 share of a mixed interaction: 1 + Binomial(k - 2, 1/2).
-
-    Guarantees at least one node from each class and is symmetric between the
-    classes.
-    """
-    return 1 + int(rng.binomial(k - 2, 0.5))
-
-
 def generate_design(
-    design: SimulationDesign,
-    stream: RngStream | None = None,
-    mixed_split: Callable[[int, np.random.Generator], int] = _binomial_split,
+    design: SimulationDesign, stream: RngStream | None = None
 ) -> tuple[BlockModelSpec, InteractionHypergraph]:
     """Draw one benchmark instance: type matrix first, then memberships.
 
     Column layout: the first m/3 interactions are pure class 1, the next third
-    pure class 2, the last third mixed. Sizes follow the design's size law
-    with k_min keyed by basic type (2 for pure; the number of represented
-    classes, also 2, for mixed). Identical (design, stream) pairs give
-    bitwise-identical output.
+    pure class 2, the last third mixed. Every size follows the design's size
+    law with k_min = 2 (two nodes for a pure type; one per represented class
+    for the mixed type). A mixed interaction of size k puts 1 + Binomial(k - 2,
+    1/2) nodes in class 1, so both classes are represented and the split is
+    symmetric. Identical (design, stream) pairs give bitwise-identical output.
     """
     if stream is None:
         stream = RngStream(design.seed)
@@ -192,24 +187,14 @@ def generate_design(
     z = np.repeat(np.arange(1, d + 1), n_r)
 
     third = m // 3
-    size_rng = stream.child(0).generator()
-    pure_law = SizeLaw(2, k_max, design.alpha)
-    mixed_law = SizeLaw(2, k_max, design.alpha)  # both classes represented => k_min 2
-    sizes = np.empty(m, dtype=int)
-    sizes[:third] = sample_sizes(pure_law, third, size_rng)
-    sizes[third : 2 * third] = sample_sizes(pure_law, third, size_rng)
-    sizes[2 * third :] = sample_sizes(mixed_law, third, size_rng)
-
-    alloc_rng = stream.child(1).generator()
+    sizes = sample_sizes(SizeLaw(2, k_max, design.alpha), m, stream.child(0).generator())
+    mixed = sizes[2 * third :]
+    first = 1 + stream.child(1).generator().binomial(mixed - 2, 0.5)
     tmat = np.zeros((d, m), dtype=int)
     tmat[0, :third] = sizes[:third]
     tmat[1, third : 2 * third] = sizes[third : 2 * third]
-    for p in range(2 * third, m):
-        first = mixed_split(int(sizes[p]), alloc_rng)
-        if not 1 <= first <= sizes[p] - 1:
-            raise ValueError(f"mixed split {first} leaves a class empty for size {sizes[p]}")
-        tmat[0, p] = first
-        tmat[1, p] = sizes[p] - first
+    tmat[0, 2 * third :] = first
+    tmat[1, 2 * third :] = mixed - first
 
     spec = BlockModelSpec(z=z, type_matrix=tmat)
     h = sample_hyper_sbm(spec, stream.child(2).generator())

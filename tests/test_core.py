@@ -6,10 +6,7 @@ from hypothesis import strategies as st
 from hyperclust import (
     InteractionHypergraph,
     incidence_matrix,
-    interaction_degree,
-    interaction_size,
     mean_matrix,
-    node_degree,
     type_matrix,
 )
 
@@ -43,6 +40,39 @@ class TestInteractionHypergraph:
         h = InteractionHypergraph(3, [[1, 2], [1, 2]])
         assert h.m == 2
 
+    def test_stored_as_read_only_csc_arrays(self):
+        h = InteractionHypergraph(5, [[3, 1], [5, 2, 4]])
+        assert h.indptr.tolist() == [0, 2, 5]
+        assert h.indices.tolist() == [0, 2, 1, 3, 4]
+        assert h.indptr.dtype == h.indices.dtype == np.int64
+        with pytest.raises(ValueError):
+            h.indices[0] = 4
+        with pytest.raises(ValueError):
+            h.indptr[1] = 1
+
+    def test_first_bad_interaction_is_named(self):
+        with pytest.raises(ValueError, match=r"interaction 2 repeats a vertex: \[2, 2\]"):
+            InteractionHypergraph(4, [[1, 2], [2, 2], [5]])
+        with pytest.raises(ValueError, match=r"interaction 2 is empty"):
+            InteractionHypergraph(4, [[1, 2], [], [1, 1]])
+        with pytest.raises(ValueError, match=r"interaction 2 has vertex ids outside \[1, 4\]: \[3, 5\]"):
+            InteractionHypergraph(4, [[1, 2], [5, 3]])
+
+    def test_from_arrays_matches_constructor(self):
+        h = InteractionHypergraph(5, [[3, 1], [5, 2, 4]])
+        assert InteractionHypergraph.from_arrays(5, [0, 2, 5], [2, 0, 4, 1, 3]) == h
+        with pytest.raises(ValueError, match="interaction 1 repeats"):
+            InteractionHypergraph.from_arrays(5, [0, 2], [2, 2])
+        with pytest.raises(ValueError, match="indptr"):
+            InteractionHypergraph.from_arrays(5, [0, 3], [2, 1])
+
+    def test_equality_follows_interaction_order(self):
+        h = InteractionHypergraph(4, [[1, 2], [2, 3, 4]])
+        assert h == InteractionHypergraph.from_arrays(4, h.indptr, h.indices)
+        assert h == InteractionHypergraph(4, [[2, 1], [4, 3, 2]])
+        assert h != InteractionHypergraph(4, [[2, 3, 4], [1, 2]])
+        assert h != InteractionHypergraph(5, [[1, 2], [2, 3, 4]])
+
 
 class TestIncidenceMatrix:
     def test_toy_matrix(self, toy_hypergraph):
@@ -72,33 +102,12 @@ class TestIncidenceMatrix:
         assert R.dtype == np.int64 and R.shape == (6, 4)
         assert (R.data == 1).all()
 
-
-class TestDegrees:
-    def test_toy_node_degree(self, toy_hypergraph):
-        assert node_degree(toy_hypergraph, 6) == 2
-        assert node_degree(toy_hypergraph, 1) == 2
-
-    def test_toy_interaction_degree(self, toy_hypergraph):
-        # e_1 = {1,2} meets e_2 through node 2 and e_4 through node 1
-        assert interaction_degree(toy_hypergraph, 1) == 2
-        assert interaction_degree(toy_hypergraph, 4) == 3
-
-    def test_disjoint_interactions_have_degree_zero(self):
-        h = InteractionHypergraph(6, [[1, 2], [3, 4], [5, 6]])
-        assert all(interaction_degree(h, p) == 0 for p in (1, 2, 3))
-
-    def test_interaction_size(self, toy_hypergraph):
-        assert [interaction_size(toy_hypergraph, p) for p in range(1, 5)] == [2, 3, 3, 4]
-
-    def test_out_of_range_indices(self, toy_hypergraph):
-        with pytest.raises(IndexError):
-            node_degree(toy_hypergraph, 0)
-        with pytest.raises(IndexError):
-            node_degree(toy_hypergraph, 7)
-        with pytest.raises(IndexError):
-            interaction_degree(toy_hypergraph, 5)
-        with pytest.raises(IndexError):
-            interaction_size(toy_hypergraph, 0)
+    def test_wraps_the_hypergraph_arrays(self):
+        h = InteractionHypergraph(6, [[6, 2], [1], [5, 3, 4]])
+        R = incidence_matrix(h)
+        assert np.array_equal(R.indptr, h.indptr)
+        assert np.array_equal(R.indices, h.indices)
+        assert R.has_canonical_format
 
 
 class TestTypeMatrix:
@@ -162,7 +171,6 @@ class TestMeanMatrix:
         spec = type_matrix(toy_hypergraph, TOY_LABELS)
         expected = np.array([2, 2, 2, 1, 1, 1]) / 3.0
         assert np.allclose(mean_matrix(spec).gamma[:, 1], expected, atol=1e-15)
-        assert np.allclose(spec.mean_column(2), expected, atol=1e-15)
 
     def test_columns_sum_to_sizes(self):
         rng = np.random.default_rng(5)
@@ -198,5 +206,4 @@ def test_incidence_round_trip(h, pyrandom):
 def test_type_columns_sum_to_sizes(h):
     labels = [1 + (v % 2) for v in range(h.n)] if h.n > 1 else [1]
     spec = type_matrix(h, labels)
-    sizes = [interaction_size(h, p) for p in range(1, h.m + 1)]
-    assert np.array_equal(spec.type_matrix.sum(axis=0), sizes)
+    assert np.array_equal(spec.type_matrix.sum(axis=0), np.diff(h.indptr))

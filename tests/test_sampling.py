@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -14,8 +15,9 @@ from hyperclust import (
     sample_hyper_sbm,
     sample_sizes,
     sample_weighted_without_replacement,
+    write_interactions,
 )
-from hyperclust.sampling import _binomial_split
+from hyperclust.harness import replicate_stream
 
 
 class TestRngStream:
@@ -194,15 +196,16 @@ class TestDesign:
 
     def test_mixed_split_law_matches_binomial(self):
         # class-1 share of a size-5 mixed interaction is 1 + Binomial(3, 1/2)
-        rng = np.random.default_rng(6)
-        trials = 20_000
-        counts = np.zeros(6)
-        for _ in range(trials):
-            counts[_binomial_split(5, rng)] += 1
+        design = SimulationDesign(n=10, m=29_997, regime="fixed", alpha=0.9, seed=6)
+        spec, _ = generate_design(design)
+        mixed = spec.type_matrix[:, 2 * design.m // 3 :]
+        first = mixed[0, mixed.sum(axis=0) == 5]
+        trials = first.size
+        assert trials > 5000
         pmf = stats.binom.pmf(np.arange(0, 4), 3, 0.5)
         for value, p in zip(range(1, 5), pmf):
             se = np.sqrt(p * (1 - p) / trials)
-            assert abs(counts[value] / trials - p) <= 3 * se
+            assert abs((first == value).mean() - p) <= 3 * se
 
     def test_reproducible_generation(self):
         design = SimulationDesign(n=10, m=99, regime="fixed", seed=9)
@@ -253,3 +256,33 @@ class TestDesign:
         a = degree_sample(spec, 101)
         b = degree_sample(permuted, 202)
         assert stats.ks_2samp(a, b).pvalue > 0.001
+
+
+# sha256 of the write_interactions text and of the int64 type-matrix bytes of
+# replicate 0, seed 0; a change to the random stream must update these
+SAMPLER_DIGESTS = {
+    ("growing", 40, 2997): (
+        "09a1a45b679be2121e2f4cb22b6f00e2f4f3848346a5decb1d3c10742dbcc59e",
+        "8b33dcdcc193395d9b253499af5579e7165d3d4db309436481481dbdf7b10837",
+    ),
+    ("fixed", 80, 2997): (
+        "1491bcb351521c25f9aa51d63819a6bfb93c231e37856fdf270ca87779f71bd2",
+        "b77e9fa33e1bb30a4319c8b9455d47066f5efdde9c2c2f6d6faa4e8a21b9c046",
+    ),
+    ("growing", 320, 999): (
+        "92a694ed0627cdad695f1c265e36c5ce114e19763e7b4c3292c3b950edff57f6",
+        "d9479ce517d80385cc4a07384a187d5138e4bd1b47e10702e451a74f6c955591",
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(SAMPLER_DIGESTS))
+def test_generate_design_matches_golden_digest(cell, tmp_path):
+    regime, n, m = cell
+    design = SimulationDesign(n=n, m=m, regime=regime, seed=0)
+    spec, h = generate_design(design, replicate_stream(regime, n, m, 0, 0))
+    path = tmp_path / "h.txt"
+    write_interactions(h, path)
+    text_digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    type_digest = hashlib.sha256(np.ascontiguousarray(spec.type_matrix, dtype=np.int64).tobytes()).hexdigest()
+    assert (text_digest, type_digest) == SAMPLER_DIGESTS[cell]
