@@ -11,7 +11,6 @@ from .cluster import (
 from .core import (
     BlockModelSpec,
     InteractionHypergraph,
-    MeanMatrix,
     incidence_matrix,
     mean_matrix,
     type_matrix,

@@ -22,7 +22,6 @@ import scipy.sparse as sp
 __all__ = [
     "InteractionHypergraph",
     "BlockModelSpec",
-    "MeanMatrix",
     "incidence_matrix",
     "type_matrix",
     "mean_matrix",
@@ -72,6 +71,8 @@ class InteractionHypergraph:
         m = indptr.size - 1
         if m < 1:
             raise ValueError("a hypergraph needs at least one interaction")
+        if m * n >= 2**63:
+            raise ValueError(f"n * m must stay below 2**63 to fit the int64 sort key, got n = {n} and m = {m}")
         sizes = indptr[1:] - indptr[:-1]
         smallest = sizes.min()
         if indptr[0] != 0 or indptr[-1] != indices.size or smallest < 0:
@@ -173,22 +174,6 @@ class BlockModelSpec:
     def interaction_sizes(self) -> np.ndarray:
         return self.type_matrix.sum(axis=0)
 
-    def membership_matrix(self) -> np.ndarray:
-        """The n x d 0/1 matrix with one 1 per row marking the node's class."""
-        out = np.zeros((self.n, self.d))
-        out[np.arange(self.n), self.z - 1] = 1.0
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class MeanMatrix:
-    """Dense n x m expected incidence matrix; rank is at most d."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        self.gamma.setflags(write=False)
-
 
 def incidence_matrix(h: InteractionHypergraph) -> sp.csc_array:
     """The sparse incidence matrix of ``h`` (entry 1 iff node in e_p).
@@ -212,7 +197,10 @@ def type_matrix(h: InteractionHypergraph, z: Sequence[int]) -> BlockModelSpec:
     return BlockModelSpec(z=labels, type_matrix=indicator @ incidence_matrix(h))
 
 
-def mean_matrix(spec: BlockModelSpec) -> MeanMatrix:
-    """Dense expected incidence matrix: entry (i, p) is tau_{z_i p} / n_{z_i}."""
-    ratios = spec.type_matrix / spec.class_sizes[:, None]
-    return MeanMatrix(gamma=ratios[spec.z - 1, :])
+def mean_matrix(spec: BlockModelSpec) -> np.ndarray:
+    """Dense read-only n x m expected incidence matrix, entry (i, p) tau_{z_i p} / n_{z_i}.
+
+    Row i is row z_i of the d x m ratio block T / n_r, from which the spectral
+    layer works without forming this matrix.
+    """
+    return _frozen_array((spec.type_matrix / spec.class_sizes[:, None])[spec.z - 1])

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _HEADER_RE = re.compile(r"^#\s*n\s*=\s*(\d+)\s*$")
+_MAX_ID = np.iinfo(np.int64).max  # node ids are stored as int64
 
 
 class FileFormatError(ValueError):
@@ -51,6 +52,8 @@ def read_interactions(path) -> InteractionHypergraph:
         header = _HEADER_RE.match(stripped)
         if header:
             value = int(header.group(1))
+            if value > _MAX_ID:
+                raise FileFormatError(path, line_no, f"node count {value} exceeds the int64 limit {_MAX_ID}")
             if declared_n is not None and value != declared_n:
                 raise FileFormatError(path, line_no, f"conflicting #n= headers ({declared_n} vs {value})")
             declared_n = value
@@ -68,6 +71,8 @@ def read_interactions(path) -> InteractionHypergraph:
             verts.append(v)
         if len(set(verts)) != len(verts):
             raise FileFormatError(path, line_no, f"repeated vertex in interaction: {sorted(verts)}")
+        if max(verts) > _MAX_ID:
+            raise FileFormatError(path, line_no, f"node id {max(verts)} exceeds the int64 limit {_MAX_ID}")
         interactions.append(verts)
     if not interactions:
         raise FileFormatError(path, None, "no interactions found")
@@ -75,7 +80,10 @@ def read_interactions(path) -> InteractionHypergraph:
     n = declared_n if declared_n is not None else max_id
     if max_id > n:
         raise FileFormatError(path, None, f"node id {max_id} exceeds declared node count {n}")
-    return InteractionHypergraph(n=n, interactions=interactions)
+    try:
+        return InteractionHypergraph(n=n, interactions=interactions)
+    except ValueError as exc:
+        raise FileFormatError(path, None, str(exc)) from None
 
 
 def write_interactions(h: InteractionHypergraph, path) -> None:

@@ -23,7 +23,7 @@ from typing import Literal
 import numpy as np
 import scipy.sparse as sp
 
-from .core import BlockModelSpec, mean_matrix
+from .core import BlockModelSpec
 
 __all__ = [
     "SignalSelectionError",
@@ -259,10 +259,9 @@ def bulk_values(spec: BlockModelSpec) -> np.ndarray:
 def expected_gram(spec: BlockModelSpec) -> tuple[np.ndarray, ExpectedGramStructure]:
     """Expected hollowed Gram matrix and its closed-form eigenstructure.
 
-    Assembled from the block identity
-    Z B Sigma B Z^T - directsum_r mu_r (I - J/n_r); entrywise this is zero on
-    the diagonal, mu_r within class r, and sum_p tau_rp tau_sp / (n_r n_s)
-    across classes r != s.
+    The matrix is the d x d class block (T / n_r)(T / n_r)^T with the bulk
+    values mu_r on its diagonal, indexed by the class labels on both sides and
+    hollowed: mu_r within class r, sum_p tau_rp tau_sp / (n_r n_s) across.
     """
     core = _signal_core(spec)
     eigvals, eigvecs = np.linalg.eigh(core)
@@ -271,19 +270,15 @@ def expected_gram(spec: BlockModelSpec) -> tuple[np.ndarray, ExpectedGramStructu
     eigvecs = eigvecs[:, order]
 
     mu = bulk_values(spec)
-    zmat = spec.membership_matrix()
-    scale = 1.0 / np.sqrt(spec.class_sizes)
-    z_scaled = zmat * scale[None, :]  # orthonormal columns spanning range(Z)
-
-    matrix = z_scaled @ core @ z_scaled.T
-    for r in range(spec.d):
-        idx = np.flatnonzero(spec.z == r + 1)
-        nr = idx.size
-        block = mu[r] * (np.eye(nr) - np.ones((nr, nr)) / nr)
-        matrix[np.ix_(idx, idx)] -= block
+    z = spec.z - 1
+    ratios = spec.type_matrix / spec.class_sizes[:, None]
+    block = ratios @ ratios.T
+    np.fill_diagonal(block, mu)
+    matrix = block[np.ix_(z, z)]
     np.fill_diagonal(matrix, 0.0)
 
-    basis, = _fix_column_signs(z_scaled @ eigvecs)
+    # row i of the orthonormal Z sqrt(B) is e_{z_i} / sqrt(n_{z_i})
+    basis, = _fix_column_signs((eigvecs * (1.0 / np.sqrt(spec.class_sizes))[:, None])[z])
     structure = ExpectedGramStructure(
         signal_eigenvalues=eigvals,
         signal_basis=basis,
@@ -434,9 +429,8 @@ def theoretical_embedding(spec: BlockModelSpec) -> TheoreticalEmbedding:
     scale = 1.0 / np.sqrt(spec.class_sizes)
     small = spec.type_matrix * scale[:, None]
     x, s, vt = np.linalg.svd(small, full_matrices=False)
-    z_scaled = spec.membership_matrix() * scale[None, :]
     v, x = _fix_column_signs(vt.T, x)
-    return TheoreticalEmbedding(u=z_scaled @ x, s=s, v=v)
+    return TheoreticalEmbedding(u=(x * scale[:, None])[spec.z - 1], s=s, v=v)
 
 
 def procrustes_align(a: np.ndarray, b_target: np.ndarray) -> np.ndarray:
@@ -476,21 +470,29 @@ def diagnostics(
 
     Spectral norms for the incidence and Gram deviations; Frobenius norms for
     the singular-value intertwinings; maximum row norms for the subspace and
-    embedding deviations. The observed Gram matrix is the one ``embedding``
-    was computed from. Alignment matrices are Procrustes minimizers (see
-    :class:`DiagnosticsReport`).
+    embedding deviations. Both spectral norms are taken of n x n matrices
+    built from the Gram ``embedding`` was computed from and the d x m ratio
+    block T / n_r; no n x m array is formed. Alignment matrices are
+    Procrustes minimizers (see :class:`DiagnosticsReport`).
     """
-    dense = R.toarray() if sp.issparse(R) else np.asarray(R, dtype=float)
-    gamma = mean_matrix(spec).gamma
-    if dense.shape != gamma.shape:
-        raise ValueError(f"incidence {dense.shape} does not match spec {gamma.shape}")
+    R = _as_operand(R)
+    if R.shape != (spec.n, spec.m):
+        raise ValueError(f"incidence {R.shape} does not match spec {(spec.n, spec.m)}")
     if embedding.v_hat.shape != theo.v.shape:
         raise ValueError("embedding and theoretical dimensions differ")
 
-    incidence_error = float(np.linalg.norm(dense - gamma, 2))
-    observed_gram = embedding.gram.matrix.astype(float)
+    # y is the top eigenvector of (R - Gamma)(R - Gamma)^T, with Gamma =
+    # ratios[z]; the norm is that of the m-vector (R - Gamma)^T y, since
+    # sqrt(lambda_max) would square before subtracting and lose half the digits
+    z = spec.z - 1
+    ratios = spec.type_matrix / spec.class_sizes[:, None]
+    cross = (R @ ratios.T)[:, z]
+    dev = embedding.gram.matrix - cross - cross.T + (ratios @ ratios.T)[np.ix_(z, z)]
+    dev[np.diag_indices_from(dev)] += (R.power(2) if sp.issparse(R) else R**2).sum(axis=1)
+    y = np.linalg.eigh(dev)[1][:, -1]
+    incidence_error = float(np.linalg.norm(R.T @ y - ratios.T @ np.bincount(z, weights=y, minlength=spec.d)))
     expected_matrix, _ = expected_gram(spec)
-    gram_error = float(np.linalg.norm(observed_gram - expected_matrix, 2))
+    gram_error = float(np.linalg.norm(embedding.gram.matrix - expected_matrix, 2))
 
     w_star = procrustes_align(embedding.v_hat, theo.v)
     w = procrustes_align(embedding.embedding, theo.positions)

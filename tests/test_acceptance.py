@@ -63,7 +63,7 @@ def test_c02_expected_incidence_monte_carlo():
     z = np.repeat([1, 2], 5)
     tmat = np.array([[2, 0, 5, 1, 3, 5], [1, 3, 0, 1, 2, 5]])
     spec = BlockModelSpec(z=z, type_matrix=tmat)
-    gamma = mean_matrix(spec).gamma
+    gamma = mean_matrix(spec)
     rng = np.random.default_rng(202)
     draws = 20_000
     total = np.zeros_like(gamma)
@@ -294,7 +294,7 @@ def test_c10_row_space_projection_annihilates_noise():
         spec = random_spec(rng)
         h = sample_hyper_sbm(spec, rng)
         dense = incidence_matrix(h).toarray()
-        gamma = mean_matrix(spec).gamma
+        gamma = mean_matrix(spec)
         u = theoretical_embedding(spec).u
         ratio = np.linalg.norm(u.T @ (dense - gamma)) / np.linalg.norm(dense)
         worst = max(worst, float(ratio))

@@ -166,6 +166,20 @@ class TestEmbedAndCluster:
         bad.write_text("1 2\n3 oops\n")
         assert run(["embed", "--input", bad, "--out", tmp_path / "e.csv"]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 99999999999999999999\n",
+            "#n=99999999999999999999\n1 2\n",
+            "#n=2305843009213693952\n1 2\n1\n1\n1\n",
+        ],
+        ids=["id", "header", "n-times-m"],
+    )
+    def test_embed_ids_beyond_int64_exit_2(self, tmp_path, text):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert run(["embed", "--input", bad, "--out", tmp_path / "e.csv"]) == 2
+
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["embed", "--input", tmp_path / "nope.txt", "--out", tmp_path / "e.csv"]) == 2
 

@@ -66,6 +66,16 @@ class TestInteractionHypergraph:
         with pytest.raises(ValueError, match="indptr"):
             InteractionHypergraph.from_arrays(5, [0, 3], [2, 1])
 
+    def test_sort_key_overflow_rejected(self):
+        # the validator sorts by the int64 key p * n + id, whose top value is
+        # n * m - 1; just below the limit the ids must come back as ints
+        n = 2**61
+        with pytest.raises(ValueError, match=f"got n = {n} and m = 4"):
+            InteractionHypergraph(n, [[1, 2], [1], [1], [1]])
+        with pytest.raises(ValueError, match=f"got n = {n} and m = 4"):
+            InteractionHypergraph.from_arrays(n, [0, 2, 3, 4, 5], [1, 0, 0, 0, 0])
+        assert InteractionHypergraph(n, [[2, n], [1], [1]]).interactions == ((2, n), (1,), (1,))
+
     def test_equality_follows_interaction_order(self):
         h = InteractionHypergraph(4, [[1, 2], [2, 3, 4]])
         assert h == InteractionHypergraph.from_arrays(4, h.indptr, h.indices)
@@ -159,24 +169,30 @@ class TestMeanMatrix:
         from hyperclust import BlockModelSpec
 
         spec = BlockModelSpec(z=np.array([1, 1, 2]), type_matrix=np.array([[2], [1]]))
-        assert np.array_equal(mean_matrix(spec).gamma, np.ones((3, 1)))
+        assert np.array_equal(mean_matrix(spec), np.ones((3, 1)))
 
     def test_forced_membership_column(self):
         from hyperclust import BlockModelSpec
 
         spec = BlockModelSpec(z=np.array([1, 1, 2, 2]), type_matrix=np.array([[2], [0]]))
-        assert np.array_equal(mean_matrix(spec).gamma[:, 0], [1, 1, 0, 0])
+        assert np.array_equal(mean_matrix(spec)[:, 0], [1, 1, 0, 0])
 
     def test_toy_column(self, toy_hypergraph):
         spec = type_matrix(toy_hypergraph, TOY_LABELS)
         expected = np.array([2, 2, 2, 1, 1, 1]) / 3.0
-        assert np.allclose(mean_matrix(spec).gamma[:, 1], expected, atol=1e-15)
+        assert np.allclose(mean_matrix(spec)[:, 1], expected, atol=1e-15)
+
+    def test_is_a_read_only_array(self, toy_hypergraph):
+        gamma = mean_matrix(type_matrix(toy_hypergraph, TOY_LABELS))
+        assert gamma.shape == (6, 4)
+        with pytest.raises(ValueError):
+            gamma[0, 0] = 1.0
 
     def test_columns_sum_to_sizes(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             spec = random_spec(rng)
-            gamma = mean_matrix(spec).gamma
+            gamma = mean_matrix(spec)
             assert np.allclose(gamma.sum(axis=0), spec.interaction_sizes(), atol=1e-9)
             assert gamma.min() >= 0 and gamma.max() <= 1 + 1e-12
             assert np.linalg.matrix_rank(gamma) <= spec.d

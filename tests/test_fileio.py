@@ -55,15 +55,41 @@ def test_bad_token_reports_line_number(tmp_path):
 def test_nonpositive_id_rejected(tmp_path):
     path = tmp_path / "h.txt"
     path.write_text("0 1\n")
-    with pytest.raises(FileFormatError, match="positive"):
+    with pytest.raises(FileFormatError, match=r"h\.txt:1: node ids must be positive, got 0$") as info:
         read_interactions(path)
+    assert info.value.line_no == 1
 
 
 def test_repeated_vertex_rejected(tmp_path):
     path = tmp_path / "h.txt"
     path.write_text("1 2 1\n")
-    with pytest.raises(FileFormatError, match="repeated"):
+    with pytest.raises(FileFormatError, match=r"h\.txt:1: repeated vertex in interaction: \[1, 1, 2\]$") as info:
         read_interactions(path)
+    assert info.value.line_no == 1
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("1 2\n3 99999999999999999999\n", 2, "node id 99999999999999999999 exceeds the int64 limit"),
+        ("#n=99999999999999999999\n1 2\n", 1, "node count 99999999999999999999 exceeds the int64 limit"),
+    ],
+    ids=["id", "header"],
+)
+def test_id_beyond_int64_names_its_line(tmp_path, text, line_no, message):
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    with pytest.raises(FileFormatError, match=rf"h\.txt:{line_no}: {message}") as info:
+        read_interactions(path)
+    assert info.value.line_no == line_no
+
+
+def test_hypergraph_too_large_to_index_rejected(tmp_path):
+    path = tmp_path / "h.txt"
+    path.write_text("#n=2305843009213693952\n1 2\n1\n1\n1\n")
+    with pytest.raises(FileFormatError, match=r"h\.txt: n \* m must stay below 2\*\*63") as info:
+        read_interactions(path)
+    assert info.value.line_no is None
 
 
 def test_id_exceeding_header_rejected(tmp_path):

@@ -231,7 +231,7 @@ class TestDesign:
                     hits[v - 1, p] += 1
         from hyperclust import mean_matrix
 
-        gamma = mean_matrix(spec).gamma
+        gamma = mean_matrix(spec)
         se = np.sqrt(gamma * (1 - gamma) / trials)
         assert (np.abs(hits / trials - gamma) <= 3 * se + 1e-12).all()
 

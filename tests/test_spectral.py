@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hyperclust import (
     BlockModelSpec,
@@ -21,6 +24,7 @@ from hyperclust import (
     theoretical_embedding,
     type_matrix,
 )
+from hyperclust.harness import replicate_stream
 from hyperclust.spectral import bulk_values, two_to_inf
 
 from conftest import TOY_LABELS, random_spec
@@ -318,7 +322,7 @@ class TestSelection:
 class TestEmbedding:
     def test_noiseless_rows_collapse_and_align(self):
         _, spec, _ = growing_cell(3, n=10, m=99)
-        gamma = mean_matrix(spec).gamma
+        gamma = mean_matrix(spec)
         emb = embed_interactions(gamma, 2)
         theo = theoretical_embedding(spec)
         w = procrustes_align(emb.embedding, theo.positions)
@@ -371,14 +375,14 @@ class TestTheoreticalEmbedding:
         for _ in range(10):
             spec = random_spec(rng)
             theo = theoretical_embedding(spec)
-            gamma = mean_matrix(spec).gamma
+            gamma = mean_matrix(spec)
             assert np.allclose(theo.u @ np.diag(theo.s) @ theo.v.T, gamma, atol=1e-9)
 
     def test_singular_values_match_dense_svd(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
             spec = random_spec(rng)
-            dense = np.linalg.svd(mean_matrix(spec).gamma, compute_uv=False)
+            dense = np.linalg.svd(mean_matrix(spec), compute_uv=False)
             theo = theoretical_embedding(spec)
             assert np.allclose(np.sort(theo.s), np.sort(dense[: spec.d]), atol=1e-9)
 
@@ -459,7 +463,7 @@ class TestProcrustes:
 class TestDiagnostics:
     def test_noiseless_instance_measures_zero(self):
         _, spec, _ = growing_cell(7, n=10, m=99)
-        gamma = mean_matrix(spec).gamma
+        gamma = mean_matrix(spec)
         emb = embed_interactions(gamma, 2)
         theo = theoretical_embedding(spec)
         report = diagnostics(gamma, spec, emb, theo)
@@ -481,10 +485,46 @@ class TestDiagnostics:
     def test_spectral_norms_match_power_iteration(self):
         _, spec, h = growing_cell(8, n=40, m=999)
         dense = incidence_matrix(h).toarray()
-        gamma = mean_matrix(spec).gamma
+        gamma = mean_matrix(spec)
         direct = np.linalg.norm(dense - gamma, 2)
         iterated = power_iteration_norm(dense - gamma)
         assert abs(direct - iterated) <= 1e-8 * max(1.0, direct)
+
+    def test_incidence_error_matches_dense_norm(self):
+        cases = []
+        for regime in ("growing", "fixed"):
+            for n in (10, 20):
+                design = SimulationDesign(n=n, m=999, regime=regime, seed=0)
+                spec, h = generate_design(design, replicate_stream(regime, n, 999, 0, 0))
+                cases.append((spec, incidence_matrix(h)))
+        rng = np.random.default_rng(24)
+        while len(cases) < 12:
+            spec = random_spec(rng, d_max=5, m_max=40)
+            if spec.d > 2 and spec.m >= spec.d:
+                cases.append((spec, incidence_matrix(sample_hyper_sbm(spec, rng))))
+        # dense input with entries other than 0 and 1
+        cases += [(spec, rng.random((spec.n, spec.m))) for spec, _ in cases[-2:]]
+        for spec, R in cases:
+            emb = embed_interactions(R, spec.d)
+            report = diagnostics(R, spec, emb, theoretical_embedding(spec))
+            dense = R.toarray() if sp.issparse(R) else R
+            direct = np.linalg.norm(dense - mean_matrix(spec), 2)
+            assert report.incidence_error == pytest.approx(direct, rel=1e-12)
+
+    def test_no_dense_incidence_sized_allocation(self):
+        n, m = 80, 8991
+        design = SimulationDesign(n=n, m=m, regime="fixed", seed=0)
+        spec, h = generate_design(design, replicate_stream("fixed", n, m, 0, 0))
+        R = incidence_matrix(h)
+        emb = embed_interactions(R, design.d)
+        theo = theoretical_embedding(spec)
+        tracemalloc.start()
+        try:
+            diagnostics(R, spec, emb, theo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8
 
     def test_report_rows_and_alignment_note(self):
         _, spec, h = growing_cell(9, n=10, m=99)
@@ -519,6 +559,6 @@ class TestIdenticalActions:
             spec = random_spec(rng)
             h = sample_hyper_sbm(spec, rng)
             dense = incidence_matrix(h).toarray()
-            gamma = mean_matrix(spec).gamma
+            gamma = mean_matrix(spec)
             u = theoretical_embedding(spec).u
             assert np.linalg.norm(u.T @ (dense - gamma)) <= 1e-9 * np.linalg.norm(dense)
