@@ -12,10 +12,9 @@ import csv
 import logging
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from . import harness, svgplot
-from .fileio import FileFormatError, write_communities, write_interactions
+from .fileio import FileFormatError, read_text, write_communities, write_interactions
 from .sampling import FIXED, GROWING, RngStream, SimulationDesign, generate_design
 from .spectral import SignalSelectionError
 
@@ -36,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(path) -> dict[str, str]:
     """key=value lines; # starts a comment."""
     values: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -181,8 +180,7 @@ def _cmd_cluster(args) -> None:
 
 
 def _cmd_plot(args) -> None:
-    with open(args.results, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = list(csv.DictReader(read_text(args.results).splitlines()))
     timestamp = not args.no_timestamp
     if args.kind == "ari-table":
         paths = svgplot.plot_ari_table(rows, args.out, timestamp=timestamp)

@@ -124,14 +124,13 @@ class BlockModelSpec:
 
     ``z`` holds 1-based class labels for every node; ``type_matrix`` is the
     d x m integer matrix whose column p counts the members of e_p per class.
-    Derived fields (class sizes, binarized types) are computed on construction.
+    Derived fields (class count, class sizes) are computed on construction.
     """
 
     z: np.ndarray
     type_matrix: np.ndarray
     d: int = field(init=False)
     class_sizes: np.ndarray = field(init=False)
-    basic_type_matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=int)
@@ -161,7 +160,6 @@ class BlockModelSpec:
         object.__setattr__(self, "type_matrix", _frozen_array(tmat))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "class_sizes", _frozen_array(sizes))
-        object.__setattr__(self, "basic_type_matrix", _frozen_array((tmat > 0).astype(int)))
 
     @property
     def n(self) -> int:

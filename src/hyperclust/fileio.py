@@ -1,4 +1,9 @@
-"""Plain-text readers and writers for interaction and community files.
+"""The file layer: every file the program reads or writes goes through here.
+
+``read_text`` reads UTF-8 and drops a leading byte-order mark; ``write_text``
+and ``write_csv`` create missing parent directories and write UTF-8, the
+latter through ``csv.writer``. On top of them sit the interaction and
+community file formats.
 
 Interaction files are UTF-8 text with one interaction per line given as
 whitespace-separated positive integer node ids. Lines starting with ``#`` are
@@ -9,9 +14,10 @@ one integer class label per node per line.
 
 from __future__ import annotations
 
+import csv
 import re
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -19,6 +25,9 @@ from .core import InteractionHypergraph
 
 __all__ = [
     "FileFormatError",
+    "read_text",
+    "write_text",
+    "write_csv",
     "read_interactions",
     "write_interactions",
     "read_communities",
@@ -39,10 +48,35 @@ class FileFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of a file, without a leading byte-order mark."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
+def _with_parent(path) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8, creating missing parent directories."""
+    _with_parent(path).write_text(text, encoding="utf-8")
+
+
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a header row and then ``rows`` as UTF-8 CSV, creating missing
+    parent directories."""
+    with _with_parent(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def read_interactions(path) -> InteractionHypergraph:
     """Parse an interaction file into a hypergraph."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8-sig")
+    text = read_text(path)
     declared_n: int | None = None
     interactions: list[list[int]] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -90,7 +124,7 @@ def write_interactions(h: InteractionHypergraph, path) -> None:
     """Write ``h`` with an explicit ``#n=`` header, one interaction per line."""
     lines = [f"#n={h.n}"]
     lines.extend(" ".join(map(str, e)) for e in h.interactions)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_communities(path) -> np.ndarray:
@@ -101,7 +135,7 @@ def read_communities(path) -> np.ndarray:
     """
     path = Path(path)
     raw: list[int] = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -117,4 +151,4 @@ def read_communities(path) -> np.ndarray:
 
 
 def write_communities(z: Sequence[int], path) -> None:
-    Path(path).write_text("\n".join(str(int(v)) for v in z) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(str(int(v)) for v in z) + "\n")

@@ -1,4 +1,4 @@
-"""Experiment grids, file pipelines, and CSV export.
+"""Experiment grids and file pipelines; every file goes through :mod:`hyperclust.fileio`.
 
 ``run_grid`` sweeps (n, m) cells of the two-regime benchmark, running
 generate -> embed -> diagnostics -> cluster -> ARI per replicate. Replicates
@@ -13,7 +13,6 @@ import csv
 import logging
 import time
 from dataclasses import astuple, dataclass, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .cluster import (
     cut_at_k,
 )
 from .core import BlockModelSpec, incidence_matrix, type_matrix
-from .fileio import read_communities, read_interactions
+from .fileio import FileFormatError, read_communities, read_interactions, read_text, write_csv
 from .sampling import FIXED, GROWING, RngStream, SimulationDesign, generate_design
 from .spectral import (
     diagnostics,
@@ -144,15 +143,13 @@ def type_partition(spec: BlockModelSpec) -> Partition:
 
 
 def _skip_reason(regime: str, n: int, m: int) -> str | None:
+    """Why the cell cannot run, or None: m >= n, then the design's own rules."""
     if m < n:
         return "m >= n violated"
-    if n % 2 != 0:
-        return "n not divisible by the class count 2"
-    if m % 3 != 0:
-        return "m not divisible by the 3 basic types"
-    k_max = SimulationDesign(n=n, m=m, regime=regime).k_max
-    if k_max > n // 2:
-        return f"k_max={k_max} exceeds the smallest class size {n // 2}"
+    try:
+        SimulationDesign(n=n, m=m, regime=regime)
+    except ValueError as exc:
+        return str(exc)
     return None
 
 
@@ -241,13 +238,8 @@ def run_grid(
 def write_grid_csv(results: list[CellResult], path, *, timing: bool = False) -> None:
     """Write results in the given order; omitting --timing zeroes runtime_ms
     so reruns are byte-identical."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GRID_CSV_COLUMNS)
-        for r in results:
-            writer.writerow(astuple(r if timing else replace(r, runtime_ms=0)))
+    rows = (astuple(r if timing else replace(r, runtime_ms=0)) for r in results)
+    write_csv(path, GRID_CSV_COLUMNS, rows)
 
 
 def embed_file(
@@ -284,51 +276,36 @@ def embed_file(
     )
     log.info("selected eigenvalues: %s", ", ".join(f"{v:.6g}" for v in emb.lambda_hat))
 
-    types = None
+    header = ["interaction"] + [f"coord_{j + 1}" for j in range(d)]
+    rows = ([p + 1] + [repr(float(v)) for v in emb.embedding[p]] for p in range(h.m))
     if spec is not None:
-        types = type_partition(spec).labels
-
-    output_path = Path(output_path)
-    output_path.parent.mkdir(parents=True, exist_ok=True)
-    with output_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["interaction"] + [f"coord_{j + 1}" for j in range(d)]
-        if types is not None:
-            header.append("type")
-        writer.writerow(header)
-        for p in range(h.m):
-            row = [p + 1] + [repr(float(v)) for v in emb.embedding[p]]
-            if types is not None:
-                row.append(int(types[p]))
-            writer.writerow(row)
+        header.append("type")
+        rows = (row + [int(t)] for row, t in zip(rows, type_partition(spec).labels))
+    write_csv(output_path, header, rows)
     return h.m
 
 
 def read_embedding_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Load (indices, coordinates, types-or-None) from an embedding CSV."""
-    from .fileio import FileFormatError
-
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise FileFormatError(path, 1, "missing header")
-        coord_names = sorted(
-            (name for name in reader.fieldnames if name.startswith("coord_")),
-            key=lambda s: int(s.split("_", 1)[1]),
-        )
-        if not coord_names:
-            raise FileFormatError(path, 1, "no coord_* columns in header")
-        has_type = "type" in reader.fieldnames
-        indices, coords, types = [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                indices.append(int(row.get("interaction", len(indices) + 1)))
-                coords.append([float(row[c]) for c in coord_names])
-                if has_type:
-                    types.append(int(row["type"]))
-            except (TypeError, ValueError):
-                raise FileFormatError(path, line_no, f"malformed row: {row}") from None
+    reader = csv.DictReader(read_text(path).splitlines())
+    if reader.fieldnames is None:
+        raise FileFormatError(path, 1, "missing header")
+    coord_names = sorted(
+        (name for name in reader.fieldnames if name.startswith("coord_")),
+        key=lambda s: int(s.split("_", 1)[1]),
+    )
+    if not coord_names:
+        raise FileFormatError(path, 1, "no coord_* columns in header")
+    has_type = "type" in reader.fieldnames
+    indices, coords, types = [], [], []
+    for line_no, row in enumerate(reader, start=2):
+        try:
+            indices.append(int(row.get("interaction", len(indices) + 1)))
+            coords.append([float(row[c]) for c in coord_names])
+            if has_type:
+                types.append(int(row["type"]))
+        except (TypeError, ValueError):
+            raise FileFormatError(path, line_no, f"malformed row: {row}") from None
     if not coords:
         raise FileFormatError(path, None, "no data rows")
     return (
@@ -351,22 +328,15 @@ def cluster_file(
     chosen = k if k is not None else choose_k_by_gap(dend, k_max)
     part = cut_at_k(dend, chosen)
 
-    output_path = Path(output_path)
-    output_path.parent.mkdir(parents=True, exist_ok=True)
-    with output_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item", "label"])
-        for idx, label in zip(indices, part.labels):
-            writer.writerow([int(idx), int(label)])
-
+    labelled = zip(indices, part.labels)
+    write_csv(output_path, ["item", "label"], ([int(i), int(label)] for i, label in labelled))
     if dendrogram_path is not None:
-        dendrogram_path = Path(dendrogram_path)
-        dendrogram_path.parent.mkdir(parents=True, exist_ok=True)
-        with dendrogram_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "a", "b", "height"])
-            for step, ((a, b), height) in enumerate(zip(dend.merges, dend.heights), start=1):
-                writer.writerow([step, a + 1, b + 1, repr(float(height))])
+        steps = enumerate(zip(dend.merges, dend.heights), start=1)
+        write_csv(
+            dendrogram_path,
+            ["step", "a", "b", "height"],
+            ([step, a + 1, b + 1, repr(float(height))] for step, ((a, b), height) in steps),
+        )
     return part
 
 
@@ -384,10 +354,5 @@ def diagnose_instance(
 
 
 def write_diagnostics_csv(rows, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "m", "regime", "seed", "metric", "value"])
-        for n, m, regime, seed, metric, value in rows:
-            writer.writerow([n, m, regime, seed, metric, repr(float(value))])
+    header = ["n", "m", "regime", "seed", "metric", "value"]
+    write_csv(path, header, ([*key, repr(float(value))] for *key, value in rows))

@@ -44,8 +44,6 @@ class RngStream:
     seed: int
     key: tuple[int, ...] = ()
 
-    algorithm = "philox"
-
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
         return np.random.Generator(np.random.Philox(ss))
@@ -77,7 +75,7 @@ class SimulationDesign:
     """Two-class benchmark layout: basic types (1,0), (0,1), (1,1) in thirds.
 
     The growing regime sets k_max = n/d; the fixed regime pins k_max = 5.
-    Nodes split evenly into the two classes.
+    Nodes split evenly into the two classes, so k_max may not exceed n/d.
     """
 
     n: int
@@ -98,6 +96,8 @@ class SimulationDesign:
             raise ValueError(f"m must be a positive multiple of 3, got {self.m}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.k_max > self.n // self.d:
+            raise ValueError(f"k_max={self.k_max} exceeds the class size {self.n // self.d}")
 
     @property
     def k_max(self) -> int:
@@ -180,14 +180,10 @@ def generate_design(
     if stream is None:
         stream = RngStream(design.seed)
     n, m, d = design.n, design.m, design.d
-    k_max = design.k_max
-    n_r = n // d
-    if k_max > n_r:
-        raise ValueError(f"k_max={k_max} exceeds the class size {n_r}")
-    z = np.repeat(np.arange(1, d + 1), n_r)
+    z = np.repeat(np.arange(1, d + 1), n // d)
 
     third = m // 3
-    sizes = sample_sizes(SizeLaw(2, k_max, design.alpha), m, stream.child(0).generator())
+    sizes = sample_sizes(SizeLaw(2, design.k_max, design.alpha), m, stream.child(0).generator())
     mixed = sizes[2 * third :]
     first = 1 + stream.child(1).generator().binomial(mixed - 2, 0.5)
     tmat = np.zeros((d, m), dtype=int)

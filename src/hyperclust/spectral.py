@@ -169,7 +169,6 @@ class DiagnosticsReport:
     inverse_singular_alignment_error: float
     subspace_row_error: float
     embedding_row_error: float
-    alignment: str = "orthogonal-procrustes"
 
     def as_metric_rows(self) -> list[tuple[str, float]]:
         return [
@@ -383,13 +382,12 @@ def embed_interactions(
     *,
     spec: BlockModelSpec | None = None,
     c_tilde: float | None = None,
-    mu: np.ndarray | None = None,
     b: float | None = None,
 ) -> EmbeddingResult:
     """Full pipeline: hollowed Gram, eigenpair selection, thin SVD of U^T R.
 
-    Oracle mode takes the bulk values and radius either explicitly or derived
-    from ``spec`` (mu from the type counts, b from the signal gap). The sign
+    Oracle mode needs ``spec``: the bulk values mu come from its type counts,
+    and the radius b, unless given, from its signal gap. The sign
     convention makes each right singular vector's largest-magnitude entry
     positive, so output is deterministic.
     """
@@ -397,9 +395,10 @@ def embed_interactions(
     n, m = R.shape
     if d > min(n, m):
         raise ValueError(f"d={d} exceeds min(n, m)={min(n, m)}")
-    if mode == "oracle" and mu is None:
+    mu = None
+    if mode == "oracle":
         if spec is None:
-            raise ValueError("oracle mode needs either (mu, b) or a spec")
+            raise ValueError("oracle mode needs a spec")
         mu = bulk_values(spec)
         if b is None:
             b = signal_gap(spec, c_tilde).b

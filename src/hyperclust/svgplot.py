@@ -1,6 +1,7 @@
-"""Self-contained SVG output: score tables, scatter plots, log-log curves.
+"""SVG output without a plotting stack: score tables, scatter plots, log-log curves.
 
-No plotting stack; documents are assembled from a handful of SVG primitives.
+Documents are assembled from a handful of SVG primitives and written through
+:func:`hyperclust.fileio.write_text`.
 Every plot can carry a generation-timestamp comment, suppressed with
 ``timestamp=False`` so reruns are byte-identical.
 """
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from xml.sax.saxutils import escape
+
+from .fileio import write_text
 
 __all__ = [
     "SchemaError",
@@ -105,10 +108,8 @@ class SvgDocument:
         return "\n".join(head + self.parts + ["</svg>"]) + "\n"
 
     def write(self, path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_string(), encoding="utf-8")
-        return path
+        write_text(path, self.to_string())
+        return Path(path)
 
 
 @dataclass

@@ -1,4 +1,6 @@
+import codecs
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,3 +300,55 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["simulate"])
         assert info.value.code == 1
+
+
+OUTPUT_FLAGS = {
+    "simulate": ["--n", 10, "--m", 99, "--communities-out", "{new}/z/z.txt"],
+    "grid": ["--regime", "fixed", "--m-values", "99", "--n-values", "10", "--replicates", 1],
+    "embed": ["--input", "{h}"],
+    "cluster": ["--input", "{emb}", "--k", 2, "--dendrogram-out", "{new}/d/dend.csv"],
+    "plot": ["--results", "{emb}", "--kind", "scatter", "--no-timestamp"],
+    "diagnose": ["--n", 10, "--m", 99],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_FLAGS))
+def test_outputs_go_into_missing_directories(tmp_path, command):
+    h, emb, new = tmp_path / "h.txt", tmp_path / "emb.csv", tmp_path / "new" / "a"
+    assert run(["simulate", "--n", 10, "--m", 99, "--seed", 2, "--out", h]) == 0
+    assert run(["embed", "--input", h, "--out", emb]) == 0
+    flags = [str(f).format(h=h, emb=emb, new=new) for f in OUTPUT_FLAGS[command]]
+    out = new / "out" / "result"
+    assert run([command, *flags, "--out", out]) == 0
+    outputs = [out] + [flags[i + 1] for i, f in enumerate(flags) if f.endswith("-out")]
+    assert all(Path(p).is_file() for p in outputs)
+
+
+class TestByteOrderMark:
+    def test_config(self, tmp_path):
+        cfg = tmp_path / "design.cfg"
+        cfg.write_text("\ufeffm=33\n", encoding="utf-8")
+        out = tmp_path / "h.txt"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 0
+        from hyperclust import read_interactions
+
+        assert read_interactions(out).m == 33
+
+    def test_results_csv_for_plot(self, tmp_path):
+        plain, bom = tmp_path / "grid.csv", tmp_path / "bom.csv"
+        assert run(["grid", "--m-values", "99", "--n-values", "10", "--replicates", 1, "--out", plain]) == 0
+        bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        for results in (plain, bom):
+            out = tmp_path / results.stem / "ari.svg"
+            assert run(["plot", "--results", results, "--kind", "ari-table", "--no-timestamp", "--out", out]) == 0
+        plots = [{p.name: p.read_bytes() for p in (tmp_path / stem).iterdir()} for stem in ("grid", "bom")]
+        assert plots[0] and plots[0] == plots[1]
+
+    def test_embedding_csv_keeps_interaction_ids(self, tmp_path):
+        emb = tmp_path / "emb.csv"
+        emb.write_text("\ufeffinteraction,coord_1\n5,0.0\n7,0.1\n9,9.0\n", encoding="utf-8")
+        part = tmp_path / "part.csv"
+        assert run(["cluster", "--input", emb, "--k", 2, "--out", part]) == 0
+        with part.open() as fh:
+            rows = [(row["item"], row["label"]) for row in csv.DictReader(fh)]
+        assert rows == [("5", "1"), ("7", "1"), ("9", "2")]

@@ -124,7 +124,7 @@ class TestTypeMatrix:
     def test_toy_types(self, toy_hypergraph):
         spec = type_matrix(toy_hypergraph, TOY_LABELS)
         assert np.array_equal(spec.type_matrix, [[2, 2, 0, 2], [0, 1, 3, 2]])
-        assert np.array_equal(spec.basic_type_matrix, [[1, 1, 0, 1], [0, 1, 1, 1]])
+        assert np.array_equal(spec.type_matrix > 0, [[1, 1, 0, 1], [0, 1, 1, 1]])
         assert np.array_equal(spec.class_sizes, [3, 3])
 
     def test_single_class_gives_size_row(self, toy_hypergraph):
@@ -134,7 +134,7 @@ class TestTypeMatrix:
     def test_unused_class_row_is_zero(self):
         h = InteractionHypergraph(4, [[1, 2], [1, 3]])
         spec = type_matrix(h, [1, 1, 1, 2])
-        assert np.array_equal(spec.basic_type_matrix[1], [0, 0])
+        assert np.array_equal(spec.type_matrix[1] > 0, [0, 0])
 
     def test_column_sums_equal_interaction_sizes(self, toy_hypergraph):
         spec = type_matrix(toy_hypergraph, TOY_LABELS)

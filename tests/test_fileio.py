@@ -9,6 +9,7 @@ from hyperclust import (
     write_communities,
     write_interactions,
 )
+from hyperclust.fileio import read_text, write_csv, write_text
 
 
 def test_round_trip(tmp_path, toy_hypergraph):
@@ -133,3 +134,28 @@ def test_unicode_ok(tmp_path):
     path = tmp_path / "h.txt"
     path.write_text("# données\n1 2\n", encoding="utf-8")
     assert read_interactions(path).m == 1
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    h, z = tmp_path / "h.txt", tmp_path / "z.txt"
+    h.write_text("\ufeff#n=3\n1 2\n", encoding="utf-8")
+    z.write_text("\ufeff4\n4\n7\n", encoding="utf-8")
+    assert read_interactions(h) == InteractionHypergraph(3, [[1, 2]])
+    assert np.array_equal(read_communities(z), [1, 1, 2])
+    assert read_text(h) == "#n=3\n1 2\n"
+
+
+def test_writers_create_missing_directories(tmp_path, toy_hypergraph):
+    h, z = tmp_path / "a" / "h.txt", tmp_path / "b" / "c" / "z.txt"
+    write_interactions(toy_hypergraph, h)
+    write_communities([1, 2], z)
+    assert read_interactions(h) == toy_hypergraph
+    assert z.read_bytes() == b"1\n2\n"
+
+
+def test_write_csv_and_write_text(tmp_path):
+    path = tmp_path / "new" / "t.csv"
+    write_csv(path, ["a", "b"], ([i, f"x{i}"] for i in range(2)))
+    assert path.read_bytes() == b"a,b\r\n0,x0\r\n1,x1\r\n"
+    write_text(path, "données\n")
+    assert path.read_bytes() == "données\n".encode("utf-8")

@@ -117,6 +117,15 @@ class TestGrid:
         assert {(r.n, r.m) for r in results} == {(10, 99), (12, 99)}
         assert any("m >= n violated" in message for message in caplog.messages)
 
+    def test_skip_reason_is_the_design_message(self, caplog, monkeypatch):
+        monkeypatch.setattr(harness, "run_cell", lambda *args: pytest.fail("a skipped cell ran"))
+        with caplog.at_level("WARNING"):
+            assert run_grid(tiny_grid(regime="fixed", n_values=(8, 9))) == []
+        assert caplog.messages == [
+            "skipping cell n=8 m=99: k_max=5 exceeds the class size 4",
+            "skipping cell n=9 m=99: n must be a positive multiple of d=2, got 9",
+        ]
+
     def test_ari_trend_in_m(self):
         means = []
         for m in (99, 999):

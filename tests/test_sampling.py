@@ -168,6 +168,10 @@ class TestDesign:
         with pytest.raises(ValueError):
             SimulationDesign(n=10, m=999, regime="bogus")
 
+    def test_k_max_above_the_class_size_is_rejected(self):
+        with pytest.raises(ValueError, match="k_max=5 exceeds the class size 4"):
+            SimulationDesign(n=8, m=999, regime="fixed")
+
     def test_k_max_rule(self):
         assert SimulationDesign(n=40, m=999, regime="growing").k_max == 20
         assert SimulationDesign(n=40, m=999, regime="fixed").k_max == 5
@@ -175,7 +179,7 @@ class TestDesign:
     def test_thirds_layout(self):
         design = SimulationDesign(n=10, m=999, regime="fixed", seed=11)
         spec, _ = generate_design(design)
-        basic = spec.basic_type_matrix
+        basic = spec.type_matrix > 0
         assert np.array_equal(basic[:, :333], np.tile([[1], [0]], 333))
         assert np.array_equal(basic[:, 333:666], np.tile([[0], [1]], 333))
         assert np.array_equal(basic[:, 666:], np.tile([[1], [1]], 333))
