@@ -26,11 +26,9 @@ from .harness import CellResult, ExperimentGrid, run_grid, type_partition
 from .sampling import (
     RngStream,
     SimulationDesign,
-    SizeLaw,
     draw_weighted_sequence,
     generate_design,
     sample_hyper_sbm,
-    sample_sizes,
     sample_weighted_without_replacement,
 )
 from .spectral import (

@@ -1,8 +1,8 @@
 """Command-line front end: simulate, grid, embed, cluster, plot, diagnose.
 
-Exit codes: 0 success, 1 usage error, 2 data or parse error, 3 numerical
-failure (signal selection mismatch). A ``--config`` file of key=value lines
-overrides the corresponding flags.
+Exit codes: 0 success, 1 usage error, 2 data, parse or file-system error
+(any ``OSError``), 3 numerical failure (signal selection mismatch). A
+``--config`` file of key=value lines overrides the corresponding flags.
 """
 
 from __future__ import annotations
@@ -82,19 +82,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hyperclust", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # only the subcommands that draw random numbers take a seed
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="master seed")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed")
     common.add_argument("--out", required=True, help="output path")
     common.add_argument("--config", default=None, help="key=value file overriding flags")
 
-    p = sub.add_parser("simulate", parents=[common], help="sample one benchmark instance")
+    p = sub.add_parser("simulate", parents=[seeded, common], help="sample one benchmark instance")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--m", type=int, default=999)
     p.add_argument("--regime", choices=[GROWING, FIXED], default=GROWING)
     p.add_argument("--alpha", type=float, default=0.4)
     p.add_argument("--communities-out", default=None, help="write class labels here")
 
-    p = sub.add_parser("grid", parents=[common], help="run an (n, m) experiment sweep")
+    p = sub.add_parser("grid", parents=[seeded, common], help="run an (n, m) experiment sweep")
     p.add_argument("--regime", choices=[GROWING, FIXED], default=GROWING)
     p.add_argument("--m-values", default=None, help="comma-separated interaction counts")
     p.add_argument("--n-values", default=None, help="comma-separated node counts")
@@ -122,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default="norm_VS_2inf", help="metric column for convergence plots")
     p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp comment")
 
-    p = sub.add_parser("diagnose", parents=[common], help="diagnostic norms of generated instances")
+    p = sub.add_parser("diagnose", parents=[seeded, common], help="diagnostic norms of generated instances")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--m", type=int, default=999)
     p.add_argument("--regime", choices=[GROWING, FIXED], default=GROWING)
@@ -224,7 +226,7 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(args, args.config, parser)
         _HANDLERS[args.command](args)
-    except (FileFormatError, svgplot.SchemaError, FileNotFoundError) as exc:
+    except (FileFormatError, svgplot.SchemaError, OSError) as exc:
         log.error("%s", exc)
         return 2
     except SignalSelectionError as exc:

@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 
-def _frozen_array(a, dtype=None) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _frozen_array(a) -> np.ndarray:
+    out = np.array(a)
     out.setflags(write=False)
     return out
 

@@ -296,11 +296,13 @@ def read_embedding_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]
     )
     if not coord_names:
         raise FileFormatError(path, 1, "no coord_* columns in header")
+    if "interaction" not in reader.fieldnames:
+        raise FileFormatError(path, 1, "no interaction column in header")
     has_type = "type" in reader.fieldnames
     indices, coords, types = [], [], []
     for line_no, row in enumerate(reader, start=2):
         try:
-            indices.append(int(row.get("interaction", len(indices) + 1)))
+            indices.append(int(row["interaction"]))
             coords.append([float(row[c]) for c in coord_names])
             if has_type:
                 types.append(int(row["type"]))

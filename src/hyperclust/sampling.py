@@ -1,5 +1,8 @@
 """Random interaction hypergraphs: weighted draws, blockmodel draws, designs.
 
+:class:`SimulationDesign` is the paper's two-class benchmark, and
+:func:`generate_design` draws one instance of it: interaction sizes
+2 + Binomial(k_max - 2, alpha), then the type matrix, then the memberships.
 The blockmodel sampler writes each draw straight into the CSC arrays of the
 hypergraph (see :mod:`hyperclust.core`).
 Reproducibility is built on counter-based Philox streams: a
@@ -12,6 +15,7 @@ not depend on scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,12 +23,10 @@ from .core import BlockModelSpec, InteractionHypergraph
 
 __all__ = [
     "RngStream",
-    "SizeLaw",
     "SimulationDesign",
     "draw_weighted_sequence",
     "sample_weighted_without_replacement",
     "sample_hyper_sbm",
-    "sample_sizes",
     "generate_design",
 ]
 
@@ -53,49 +55,32 @@ class RngStream:
 
 
 @dataclass(frozen=True)
-class SizeLaw:
-    """Interaction sizes distributed as k_min + Binomial(k_max - k_min, alpha)."""
-
-    k_min: int
-    k_max: int
-    alpha: float = 0.4
-
-    def __post_init__(self):
-        if not 2 <= self.k_min <= self.k_max:
-            raise ValueError(f"need 2 <= k_min <= k_max, got ({self.k_min}, {self.k_max})")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-
-    def mean(self) -> float:
-        return self.k_min + self.alpha * (self.k_max - self.k_min)
-
-
-@dataclass(frozen=True)
 class SimulationDesign:
     """Two-class benchmark layout: basic types (1,0), (0,1), (1,1) in thirds.
 
-    The growing regime sets k_max = n/d; the fixed regime pins k_max = 5.
-    Nodes split evenly into the two classes, so k_max may not exceed n/d.
+    Interaction sizes follow 2 + Binomial(k_max - 2, alpha). The growing
+    regime sets k_max = n/d; the fixed regime pins k_max = 5. Nodes split
+    evenly into the d = 2 classes, so 2 <= k_max <= n/d.
     """
 
+    d: ClassVar[int] = 2
     n: int
     m: int
     regime: str
-    d: int = 2
     alpha: float = 0.4
     seed: int = 0
 
     def __post_init__(self):
         if self.regime not in (GROWING, FIXED):
             raise ValueError(f"regime must be '{GROWING}' or '{FIXED}', got {self.regime!r}")
-        if self.d != 2:
-            raise ValueError("the thirds layout is defined for d=2 only")
         if self.n < 2 or self.n % self.d != 0:
             raise ValueError(f"n must be a positive multiple of d={self.d}, got {self.n}")
         if self.m < 3 or self.m % 3 != 0:
             raise ValueError(f"m must be a positive multiple of 3, got {self.m}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.k_max < 2:
+            raise ValueError(f"k_max={self.k_max} is below the smallest interaction size 2")
         if self.k_max > self.n // self.d:
             raise ValueError(f"k_max={self.k_max} exceeds the class size {self.n // self.d}")
 
@@ -160,22 +145,20 @@ def sample_hyper_sbm(spec: BlockModelSpec, rng: np.random.Generator) -> Interact
     return InteractionHypergraph.from_arrays(spec.n, indptr, indices)
 
 
-def sample_sizes(law: SizeLaw, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m i.i.d. interaction sizes from the size law."""
-    return law.k_min + rng.binomial(law.k_max - law.k_min, law.alpha, size=m)
-
-
 def generate_design(
     design: SimulationDesign, stream: RngStream | None = None
 ) -> tuple[BlockModelSpec, InteractionHypergraph]:
-    """Draw one benchmark instance: type matrix first, then memberships.
+    """Draw one benchmark instance: sizes, then the type matrix, then memberships.
 
-    Column layout: the first m/3 interactions are pure class 1, the next third
-    pure class 2, the last third mixed. Every size follows the design's size
-    law with k_min = 2 (two nodes for a pure type; one per represented class
-    for the mixed type). A mixed interaction of size k puts 1 + Binomial(k - 2,
-    1/2) nodes in class 1, so both classes are represented and the split is
-    symmetric. Identical (design, stream) pairs give bitwise-identical output.
+    The m sizes are 2 + Binomial(k_max - 2, alpha), drawn in one call on
+    stream child 0; size 2 is the least that gives a pure type two nodes and
+    a mixed type one node per class. Column layout: the first m/3
+    interactions are pure class 1, the next third pure class 2, the last
+    third mixed. A mixed interaction of size k puts 1 + Binomial(k - 2, 1/2)
+    nodes in class 1 (stream child 1), so both classes are represented and
+    the split is symmetric. Memberships come from stream child 2. Without a
+    stream the draws come from ``RngStream(design.seed)``. Identical
+    (design, stream) pairs give bitwise-identical output.
     """
     if stream is None:
         stream = RngStream(design.seed)
@@ -183,7 +166,7 @@ def generate_design(
     z = np.repeat(np.arange(1, d + 1), n // d)
 
     third = m // 3
-    sizes = sample_sizes(SizeLaw(2, design.k_max, design.alpha), m, stream.child(0).generator())
+    sizes = 2 + stream.child(0).generator().binomial(design.k_max - 2, design.alpha, size=m)
     mixed = sizes[2 * third :]
     first = 1 + stream.child(1).generator().binomial(mixed - 2, 0.5)
     tmat = np.zeros((d, m), dtype=int)

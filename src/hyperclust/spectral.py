@@ -72,10 +72,6 @@ class HollowedGram:
     def __post_init__(self):
         self.matrix.setflags(write=False)
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class ExpectedGramStructure:

@@ -63,35 +63,33 @@ class SvgDocument:
         self.timestamp = timestamp
         self.parts: list[str] = []
 
-    def line(self, x1, y1, x2, y2, stroke="#000000", stroke_width=1.0, dash=None):
-        extra = f' stroke-dasharray="{dash}"' if dash else ""
+    def line(self, x1, y1, x2, y2, stroke="#000000", stroke_width=1.0):
         self.parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"'
-            f' stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"{extra} />'
+            f' stroke="{stroke}" stroke-width="{_fmt(stroke_width)}" />'
         )
 
-    def polyline(self, points, stroke="#000000", stroke_width=1.5, dash=None):
+    def polyline(self, points, stroke="#000000", dash=None):
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
         extra = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
-            f' stroke-width="{_fmt(stroke_width)}"{extra} />'
+            f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="1.50"{extra} />'
         )
 
     def circle(self, cx, cy, r, fill="#000000"):
         self.parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{fill}" />')
 
-    def rect(self, x, y, w, h, fill="none", stroke="#000000", stroke_width=1.0):
+    def rect(self, x, y, w, h, stroke="#000000", stroke_width=1.0):
         self.parts.append(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}"'
-            f' fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(stroke_width)}" />'
+            f' fill="none" stroke="{stroke}" stroke-width="{_fmt(stroke_width)}" />'
         )
 
-    def text(self, x, y, content, size=12, anchor="start", fill="#000000", rotate=None):
+    def text(self, x, y, content, size=12, anchor="start", rotate=None):
         transform = f' transform="rotate({rotate} {_fmt(x)} {_fmt(y)})"' if rotate is not None else ""
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}"'
-            f' font-family="sans-serif" text-anchor="{anchor}" fill="{fill}"{transform}>'
+            f' font-family="sans-serif" text-anchor="{anchor}" fill="#000000"{transform}>'
             f"{escape(str(content))}</text>"
         )
 
@@ -180,9 +178,9 @@ def _series_by_n(rows, metric: str):
     return series
 
 
-def plot_convergence(rows, out_path, metric="norm_VS_2inf", timestamp=True, ref_slope=-0.5) -> Path:
+def plot_convergence(rows, out_path, metric="norm_VS_2inf", timestamp=True) -> Path:
     """Log-log curves of a grid metric against m, one per n, with a straight
-    reference guide of the expected decay slope placed above the data."""
+    reference guide of the expected decay slope -1/2 placed above the data."""
     _require_columns(rows, ["n", "m", metric])
     series = _series_by_n(rows, metric)
     doc = SvgDocument(640, 480, timestamp=timestamp)
@@ -207,15 +205,16 @@ def plot_convergence(rows, out_path, metric="norm_VS_2inf", timestamp=True, ref_
     m_lo, m_hi = min(all_m), max(all_m)
     if m_lo < m_hi:
         top = max(all_v) * 2.0
-        v_hi = top * (m_hi / m_lo) ** ref_slope
+        v_hi = top * (m_hi / m_lo) ** -0.5
         doc.polyline([frame.px(m_lo, top), frame.px(m_hi, v_hi)], stroke="#444444", dash="6,4")
-        doc.text(*frame.px(m_lo, top * 1.2), f"slope {ref_slope}", size=10)
+        doc.text(*frame.px(m_lo, top * 1.2), "slope -0.5", size=10)
     return doc.write(out_path)
 
 
-def plot_ari_table(rows, out_path, timestamp=True, metric="ari_true_k") -> list[Path]:
+def plot_ari_table(rows, out_path, timestamp=True) -> list[Path]:
     """Score-table layout: rows are n, columns are m, cells are replicate
-    means. One SVG per regime present in the rows."""
+    means of ari_true_k. One SVG per regime present in the rows."""
+    metric = "ari_true_k"
     _require_columns(rows, ["regime", "n", "m", metric])
     out_path = Path(out_path)
     paths = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hyperclust import ExperimentGrid, harness
-from hyperclust.cli import main
+from hyperclust.cli import build_parser, main
 
 
 def run(argv):
@@ -352,3 +352,71 @@ class TestByteOrderMark:
         with part.open() as fh:
             rows = [(row["item"], row["label"]) for row in csv.DictReader(fh)]
         assert rows == [("5", "1"), ("7", "1"), ("9", "2")]
+
+
+class TestFileSystemErrors:
+    """Every OSError is a data error: one error line and exit 2."""
+
+    @pytest.mark.parametrize("target", ["adir", "afile/x.txt"], ids=["existing-directory", "under-a-file"])
+    def test_unwritable_output_exits_2(self, tmp_path, target, capsys, caplog):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("a regular file\n")
+        assert run(["simulate", "--n", 10, "--m", 99, "--out", tmp_path / target]) == 2
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_embedding_csv_needs_an_interaction_column(tmp_path, caplog):
+    emb = tmp_path / "emb.csv"
+    emb.write_text("Interaction,coord_1\n5,0.0\n7,0.1\n9,9.0\n")
+    part = tmp_path / "part.csv"
+    assert run(["cluster", "--input", emb, "--k", 2, "--out", part]) == 2
+    assert not part.exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{emb}:1: no interaction column in header"]
+
+
+SEED_ARGS = {
+    "simulate": ["--n", 10, "--m", 99],
+    "grid": ["--regime", "fixed", "--m-values", "99", "--n-values", "10", "--replicates", 1],
+    "diagnose": ["--n", 10, "--m", 99],
+}
+
+
+UNSEEDED_ARGS = {
+    "embed": ["--input", "h.txt"],
+    "cluster": ["--input", "emb.csv"],
+    "plot": ["--results", "emb.csv", "--kind", "scatter"],
+}
+
+
+class TestSeed:
+    """Only the subcommands that draw random numbers take a seed."""
+
+    @pytest.mark.parametrize("command", sorted(UNSEEDED_ARGS))
+    def test_flag_rejected_where_nothing_is_drawn(self, command):
+        args = [command, *UNSEEDED_ARGS[command], "--out", "o"]
+        assert build_parser().parse_args(args).command == command
+        with pytest.raises(SystemExit) as info:
+            main([*args, "--seed", "1"])
+        assert info.value.code == 1
+
+    @pytest.mark.parametrize("command", sorted(UNSEEDED_ARGS))
+    def test_config_key_unknown_where_nothing_is_drawn(self, tmp_path, command, caplog):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=1\n")
+        assert run([command, *UNSEEDED_ARGS[command], "--config", cfg, "--out", tmp_path / "o"]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{cfg}: unknown config key 'seed'"]
+
+    @pytest.mark.parametrize("command", sorted(SEED_ARGS))
+    def test_seed_is_read(self, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=3\n")
+        outputs = {}
+        for tag, extra in (("flag", ["--seed", 3]), ("config", ["--config", cfg]), ("other", ["--seed", 4])):
+            outputs[tag] = tmp_path / f"{tag}.out"
+            assert run([command, *SEED_ARGS[command], *extra, "--out", outputs[tag]]) == 0
+        data = {tag: path.read_bytes() for tag, path in outputs.items()}
+        assert data["flag"] == data["config"] != data["other"]

@@ -126,6 +126,15 @@ class TestGrid:
             "skipping cell n=9 m=99: n must be a positive multiple of d=2, got 9",
         ]
 
+    def test_growing_cell_below_size_two_is_skipped(self, caplog):
+        # growing n = 2 has k_max = 1, below the smallest interaction size
+        with caplog.at_level("WARNING"):
+            results = run_grid(tiny_grid(n_values=(2, 10), replicates=1))
+        assert [(r.n, r.m) for r in results] == [(10, 99)]
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", "skipping cell n=2 m=99: k_max=1 is below the smallest interaction size 2"),
+        ]
+
     def test_ari_trend_in_m(self):
         means = []
         for m in (99, 999):
@@ -340,6 +349,13 @@ class TestClusterFile:
         emb.write_text("a,b\n1,2\n")
         with pytest.raises(FileFormatError, match="coord"):
             cluster_file(emb, tmp_path / "part.csv")
+
+    def test_missing_interaction_column_rejected(self, tmp_path):
+        emb = tmp_path / "emb.csv"
+        emb.write_text("coord_1\n0.0\n9.0\n")
+        with pytest.raises(FileFormatError, match="no interaction column in header") as info:
+            read_embedding_csv(emb)
+        assert info.value.line_no == 1
 
 
 class TestDiagnose:

@@ -3,17 +3,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from hyperclust import (
     BlockModelSpec,
     RngStream,
     SimulationDesign,
-    SizeLaw,
     draw_weighted_sequence,
     generate_design,
     sample_hyper_sbm,
-    sample_sizes,
     sample_weighted_without_replacement,
     write_interactions,
 )
@@ -132,31 +132,32 @@ class TestHyperSbm:
 
 
 class TestSizeLaw:
+    """Interaction sizes of a design follow 2 + Binomial(k_max - 2, alpha)."""
+
     def test_degenerate_law(self):
-        law = SizeLaw(5, 5)
-        sizes = sample_sizes(law, 100, np.random.default_rng(0))
-        assert (sizes == 5).all()
+        # growing n = 4 has k_max = 2, so every size is 2
+        spec, _ = generate_design(SimulationDesign(n=4, m=99, regime="growing", seed=0))
+        assert (spec.interaction_sizes() == 2).all()
 
     def test_fixed_regime_mean(self):
-        law = SizeLaw(2, 5, alpha=0.4)
-        assert law.mean() == pytest.approx(3.2)
-        sizes = sample_sizes(law, 50_000, np.random.default_rng(1))
-        sd = np.sqrt(3 * 0.4 * 0.6 / 50_000)
-        assert abs(sizes.mean() - 3.2) <= 3 * sd
+        m = 30_000
+        spec, _ = generate_design(SimulationDesign(n=10, m=m, regime="fixed", alpha=0.4, seed=1))
+        sd = np.sqrt(3 * 0.4 * 0.6 / m)
+        assert abs(spec.interaction_sizes().mean() - 3.2) <= 3 * sd
 
     def test_growing_regime_mean_formula(self):
-        # k_max = n/2 gives mean sizes 1.2 + 0.2 n
+        # k_max = n/2 gives mean sizes 2 + 0.4 (n/2 - 2) = 1.2 + 0.2 n
+        m = 9999
         for n in (10, 40):
-            law = SizeLaw(2, n // 2, alpha=0.4)
-            assert law.mean() == pytest.approx(1.2 + 0.2 * n)
+            spec, _ = generate_design(SimulationDesign(n=n, m=m, regime="growing", alpha=0.4, seed=2))
+            sd = np.sqrt((n // 2 - 2) * 0.4 * 0.6 / m)
+            assert abs(spec.interaction_sizes().mean() - (1.2 + 0.2 * n)) <= 3 * sd
 
     def test_invalid_laws(self):
-        with pytest.raises(ValueError):
-            SizeLaw(1, 5)
-        with pytest.raises(ValueError):
-            SizeLaw(6, 5)
-        with pytest.raises(ValueError):
-            SizeLaw(2, 5, alpha=1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            SimulationDesign(n=10, m=999, regime="fixed", alpha=1.0)
+        with pytest.raises(ValueError, match="k_max=1 is below the smallest interaction size 2"):
+            SimulationDesign(n=2, m=3, regime="growing")
 
 
 class TestDesign:
@@ -171,6 +172,29 @@ class TestDesign:
     def test_k_max_above_the_class_size_is_rejected(self):
         with pytest.raises(ValueError, match="k_max=5 exceeds the class size 4"):
             SimulationDesign(n=8, m=999, regime="fixed")
+
+    def test_dimension_is_not_a_field(self):
+        assert SimulationDesign(n=10, m=999, regime="fixed").d == 2
+        with pytest.raises(TypeError):
+            SimulationDesign(n=10, m=999, regime="fixed", d=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 20).map(lambda k: 2 * k),
+        m=st.integers(1, 33).map(lambda k: 3 * k),
+        regime=st.sampled_from(["growing", "fixed"]),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_accepted_design_can_be_drawn(self, n, m, regime, alpha, seed):
+        try:
+            design = SimulationDesign(n=n, m=m, regime=regime, alpha=alpha, seed=seed)
+        except ValueError:
+            return
+        spec, h = generate_design(design)
+        sizes = spec.interaction_sizes()
+        assert (h.n, h.m) == (n, m)
+        assert sizes.min() >= 2 and sizes.max() <= design.k_max
 
     def test_k_max_rule(self):
         assert SimulationDesign(n=40, m=999, regime="growing").k_max == 20
