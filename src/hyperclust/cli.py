@@ -155,6 +155,8 @@ def _cmd_grid(args) -> None:
     if args.n_values is not None:
         grid = replace(grid, n_values=_parse_int_list(args.n_values))
     results = harness.run_grid(grid, selection=args.selection, csv_path=args.out, timing=args.timing)
+    if not results:
+        raise ValueError("no cell of the grid could run: every cell was skipped or every replicate failed")
     log.info("wrote %s: %d replicate rows", args.out, len(results))
 
 

@@ -137,9 +137,15 @@ def expected_distinct_types(design: SimulationDesign) -> int:
 
 
 def type_partition(spec: BlockModelSpec) -> Partition:
-    """Group interactions by identical type vector."""
-    _, codes = np.unique(spec.type_matrix.T, axis=0, return_inverse=True)
-    return Partition.from_labels(codes + 1)
+    """Group interactions by identical type vector, labelled 1..k in the
+    lexicographic order of the vectors."""
+    tmat = spec.type_matrix
+    order = np.lexsort(tmat[::-1])  # lexsort's last key is the primary one
+    ordered = tmat[:, order]
+    starts = np.concatenate(([True], (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)))
+    labels = np.empty(tmat.shape[1], dtype=np.int64)
+    labels[order] = np.cumsum(starts)
+    return Partition(labels=labels, k=int(labels[order[-1]]))
 
 
 def _skip_reason(regime: str, n: int, m: int) -> str | None:

@@ -79,13 +79,30 @@ class TestGridCommand:
             run(base + ["--threads", 2, "--out", b])
         assert info.value.code == 1
 
+    def test_grid_where_no_cell_runs_is_one_error_line(self, tmp_path, caplog, capsys):
+        # growing n = 2 has k_max = 1, so its only cell is skipped
+        argv = ["grid", "--regime", "growing", "--n-values", 2, "--m-values", 3, "--out", tmp_path / "g.csv"]
+        assert run(argv) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert "no cell of the grid could run" in errors[0].getMessage()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_grid_with_one_runnable_cell_exits_0(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        argv = ["grid", "--regime", "growing", "--n-values", "2,10", "--m-values", 99,
+                "--replicates", 1, "--out", out]
+        assert run(argv) == 0
+        with out.open() as fh:
+            assert [(row["n"], row["m"]) for row in csv.DictReader(fh)] == [("10", "99")]
+
     @pytest.fixture
     def grid_seen(self, monkeypatch):
         seen = []
 
         def capture(grid, **kwargs):
             seen.append(grid)
-            return []
+            return ["row"]
 
         monkeypatch.setattr(harness, "run_grid", capture)
         return seen
@@ -111,7 +128,7 @@ class TestGridCommand:
 
         def capture(grid, **kwargs):
             seen.append(kwargs["timing"])
-            return []
+            return ["row"]
 
         monkeypatch.setattr(harness, "run_grid", capture)
         return seen

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperclust import (
+    BlockModelSpec,
     ExperimentGrid,
     FileFormatError,
     InteractionHypergraph,
@@ -186,8 +189,8 @@ GOLDEN_FLOAT_COLUMNS = {
 
 def test_grid_matches_golden_csv(tmp_path):
     """Both regimes, n in {10, 20}, m = 999, 2 replicates, seed 0, against a
-    CSV written by the column-loop incidence code, so results cannot drift
-    between versions unnoticed."""
+    CSV written when the sampler moved to row-wise permutations, so results
+    cannot drift between versions unnoticed."""
     results = []
     for regime in ("growing", "fixed"):
         grid = ExperimentGrid(regime=regime, m_values=(999,), n_values=(10, 20), replicates=2, seed=0)
@@ -257,6 +260,21 @@ class TestHelpers:
         for label in range(1, part.k + 1):
             group = tcols[part.labels == label]
             assert (group == group[0]).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 4), m=st.integers(1, 40), top=st.integers(1, 3))
+    def test_type_partition_matches_unique_rows(self, data, d, m, top):
+        # labels are the lexicographic codes np.unique gives the type vectors
+        tmat = np.array(
+            data.draw(st.lists(st.lists(st.integers(0, top), min_size=m, max_size=m), min_size=d, max_size=d))
+        )
+        tmat[0, tmat.sum(axis=0) == 0] = 1
+        spec = BlockModelSpec(z=np.repeat(np.arange(1, d + 1), top), type_matrix=tmat)
+        _, codes = np.unique(tmat.T, axis=0, return_inverse=True)
+        part = type_partition(spec)
+        assert part.labels.dtype == np.int64
+        assert np.array_equal(part.labels, codes + 1)
+        assert part.k == codes.max() + 1
 
     def test_gap_rule_recovers_distinct_type_count(self):
         # benchmark cell n=10, m=999: the chosen k equals the number of

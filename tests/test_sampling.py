@@ -15,6 +15,8 @@ from hyperclust import (
     generate_design,
     sample_hyper_sbm,
     sample_weighted_without_replacement,
+    sampling,
+    type_matrix,
     write_interactions,
 )
 from hyperclust.harness import replicate_stream
@@ -127,6 +129,40 @@ class TestHyperSbm:
             counts[h.interactions[0]] = counts.get(h.interactions[0], 0) + 1
         assert len(counts) == 6
         observed = np.array(list(counts.values()))
+        chi2 = ((observed - trials / 6) ** 2 / (trials / 6)).sum()
+        assert chi2 < stats.chi2.ppf(0.999, df=5)
+
+
+class TestChunkedDraws:
+    """The class-by-class draw gives one hypergraph whatever its chunk size."""
+
+    @pytest.mark.parametrize("entries", [1, 40, 333])
+    def test_chunk_size_does_not_change_the_draw(self, monkeypatch, entries):
+        spec, _ = generate_design(SimulationDesign(n=40, m=999, regime="growing"), RngStream(3))
+        default = sample_hyper_sbm(spec, np.random.default_rng(4))
+        monkeypatch.setattr(sampling, "_CHUNK_ENTRIES", entries)
+        assert sample_hyper_sbm(spec, np.random.default_rng(4)) == default
+
+    def test_class_counts_exact_across_chunk_boundaries(self, monkeypatch):
+        # unequal classes of 6, 5 and 3 nodes, labels interleaved
+        z = np.array([2, 1, 2, 1, 1, 3, 2, 1, 3, 2, 1, 2, 3, 1])
+        rng = np.random.default_rng(5)
+        sizes = np.bincount(z)[1:]
+        tmat = rng.integers(0, sizes[:, None] + 1, size=(3, 500))
+        tmat[0, tmat.sum(axis=0) == 0] = 1
+        spec = BlockModelSpec(z=z, type_matrix=tmat)
+        monkeypatch.setattr(sampling, "_CHUNK_ENTRIES", 20)
+        h = sample_hyper_sbm(spec, rng)
+        assert np.array_equal(type_matrix(h, z).type_matrix, tmat)
+
+    def test_uniform_pairs_chi_square_in_one_call(self):
+        # 60000 interactions of one 4-node class, tau=2: all 6 pairs equally likely
+        trials = 60_000
+        spec = BlockModelSpec(z=np.array([1, 1, 1, 1]), type_matrix=np.full((1, trials), 2))
+        h = sample_hyper_sbm(spec, np.random.default_rng(12))
+        pairs = h.indices.reshape(trials, 2)
+        observed = np.bincount(4 * pairs[:, 0] + pairs[:, 1], minlength=16)[[1, 2, 3, 6, 7, 11]]
+        assert (observed > 0).all() and observed.sum() == trials
         chi2 = ((observed - trials / 6) ** 2 / (trials / 6)).sum()
         assert chi2 < stats.chi2.ppf(0.999, df=5)
 
@@ -287,18 +323,19 @@ class TestDesign:
 
 
 # sha256 of the write_interactions text and of the int64 type-matrix bytes of
-# replicate 0, seed 0; a change to the random stream must update these
+# replicate 0, seed 0, drawn by the row-wise permutation sampler; a change to
+# the random stream must update these
 SAMPLER_DIGESTS = {
     ("growing", 40, 2997): (
-        "09a1a45b679be2121e2f4cb22b6f00e2f4f3848346a5decb1d3c10742dbcc59e",
+        "4cd2e3b8d4183454445fae2443fa6a9dc94dc2bd3929d0222b0d9dcb0109d055",
         "8b33dcdcc193395d9b253499af5579e7165d3d4db309436481481dbdf7b10837",
     ),
     ("fixed", 80, 2997): (
-        "1491bcb351521c25f9aa51d63819a6bfb93c231e37856fdf270ca87779f71bd2",
+        "b4c7d1e420407817c0df7a0c2d65159fe5eef6ea0627e68a2c7fa8bbc412a107",
         "b77e9fa33e1bb30a4319c8b9455d47066f5efdde9c2c2f6d6faa4e8a21b9c046",
     ),
     ("growing", 320, 999): (
-        "92a694ed0627cdad695f1c265e36c5ce114e19763e7b4c3292c3b950edff57f6",
+        "f945c0f09a8662e653fbbc96a08c4bdffd1f97157618cb8449fc150b727e15ed",
         "d9479ce517d80385cc4a07384a187d5138e4bd1b47e10702e451a74f6c955591",
     ),
 }
